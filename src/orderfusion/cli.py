@@ -221,22 +221,22 @@ def _load_samples(data_path, market_cfg: MarketConfig):
 
 
 def _split_samples(samples, cfg: dict):
-    """Chronological train/val/test split, by explicit boundary timestamps
-    when the config gives them, else by fractions."""
-    ordered = sorted(samples, key=lambda s: s.delivery_start)
+    """Chronological train/val/test split of ``build_dataset``'s samples
+    (already in delivery order), by explicit boundary timestamps when the
+    config gives them, else by fractions."""
     if "train_end" in cfg and "val_end" in cfg:
         train_end = parse_timestamp(cfg["train_end"])
         val_end = parse_timestamp(cfg["val_end"])
-        train = [s for s in ordered if s.delivery_start < train_end]
-        val = [s for s in ordered if train_end <= s.delivery_start < val_end]
-        test = [s for s in ordered if s.delivery_start >= val_end]
+        train = [s for s in samples if s.delivery_start < train_end]
+        val = [s for s in samples if train_end <= s.delivery_start < val_end]
+        test = [s for s in samples if s.delivery_start >= val_end]
     else:
         train_frac = _get(cfg, "train_frac", float, 0.70)
         val_frac = _get(cfg, "val_frac", float, 0.15)
-        n = len(ordered)
+        n = len(samples)
         i = int(n * train_frac)
         j = int(n * (train_frac + val_frac))
-        train, val, test = ordered[:i], ordered[i:j], ordered[j:]
+        train, val, test = samples[:i], samples[i:j], samples[j:]
     if not train or not val or not test:
         raise DataError(
             f"degenerate split: {len(train)} train / {len(val)} val / {len(test)} test samples")
@@ -413,9 +413,8 @@ def _load_checkpoint_and_test(args, checkpoint_path):
     market_cfg = MarketConfig(index_x=int(market.get("index", args.index or 1)),
                               delta_c_minutes=int(market.get("delta_c_minutes", 30)))
     _, samples, _ = _load_samples(args.data, market_cfg)
-    scaled = [apply_scaler(s, feat, lab) for s in sorted(samples, key=lambda s: s.delivery_start)]
-    batch = encode_samples(scaled, config)
-    y_true = np.array([s.label for s in sorted(samples, key=lambda s: s.delivery_start)])
+    batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
+    y_true = np.array([s.label for s in samples])
     return config, params, feat, lab, batch, y_true
 
 
@@ -461,8 +460,6 @@ def cmd_baseline(args):
     rows = []
 
     variant = args.variant or "naive1"
-    test_sorted = sorted(test_raw, key=lambda s: s.delivery_start)
-    y_true = np.array([s.label for s in test_sorted])
 
     if variant in ("naive1", "naive2", "naive3"):
         kind = {"naive1": "prev_hour", "naive2": "prev_day_same_hour",
@@ -472,7 +469,7 @@ def cmd_baseline(args):
         residuals = ResidualQuantiles.fit(train_labels, kind, quantiles)
         forecasts, kept_truth, kept_deliveries = [], [], []
         skipped = 0
-        for s in test_sorted:
+        for s in test_raw:
             point = naive_point(all_labels, s.delivery_start, kind)
             if point is None or s.delivery_start.hour not in residuals.per_hour:
                 skipped += 1
@@ -493,7 +490,7 @@ def cmd_baseline(args):
 
         def feature_matrix(group):
             feats, targets = [], []
-            for s in sorted(group, key=lambda s: s.delivery_start):
+            for s in group:
                 value = feature_fn(by_delivery[s.delivery_start], s.forecast_time)
                 if value is None:
                     continue

@@ -251,7 +251,8 @@ def build_sample(trades: list[TradeRecord], delivery: datetime, cfg: MarketConfi
 
 
 def build_dataset(trades: list[TradeRecord], cfg: MarketConfig) -> tuple[list[Sample], IngestReport]:
-    """One sample per distinct delivery time; empty-window deliveries are
+    """One sample per distinct delivery time, in ascending ``delivery_start``
+    order whatever the order of ``trades``; empty-window deliveries are
     dropped and counted."""
     report = IngestReport(n_trades=len(trades))
     by_delivery: dict[datetime, list[TradeRecord]] = {}

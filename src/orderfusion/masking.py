@@ -33,7 +33,6 @@ MASK_VARIANTS = ("dual", "none", "random", "reverse")
 class PaddedSide:
     matrix: np.ndarray          # (t_max, 3)
     valid_len: int
-    pad_sentinel: float = PAD_SENTINEL
 
 
 @dataclass
@@ -62,8 +61,8 @@ def pad_side(rows: np.ndarray, t_max: int) -> PaddedSide:
 
 
 def padding_mask(p: PaddedSide) -> np.ndarray:
-    """1 where the row holds data, 0 where it is all sentinel."""
-    return (~np.all(p.matrix == p.pad_sentinel, axis=1)).astype(np.float64)
+    """1 on the trailing ``valid_len`` rows (the data), 0 on the padding."""
+    return (np.arange(len(p.matrix)) >= len(p.matrix) - p.valid_len).astype(np.float64)
 
 
 def temporal_mask(t_max: int, alpha: int) -> np.ndarray:

@@ -35,7 +35,6 @@ __all__ = [
     "QuantileForecast",
     "EncodedBatch",
     "init_params",
-    "encode_sample",
     "encode_samples",
     "input_project",
     "cross_attention_fuse",
@@ -257,33 +256,22 @@ class EncodedBatch:
         )
 
 
-def encode_sample(sample: Sample, config: ModelConfig, rng: np.random.Generator | None = None):
-    """Pad and mask one scaled sample; returns (buy, sell, mask_buy, mask_sell)."""
-    pb = pad_side(sample.buy_matrix, config.t_max)
-    ps = pad_side(sample.sell_matrix, config.t_max)
-    mb = build_dual_mask(pb, config.cutoff_exponent, config.mask_variant, rng)
-    ms = build_dual_mask(ps, config.cutoff_exponent, config.mask_variant, rng)
-    return pb.matrix, ps.matrix, mb.combined.reshape(-1, 1), ms.combined.reshape(-1, 1)
-
-
 def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
-    """Encode scaled samples into stacked arrays.
+    """Pad and mask scaled samples into stacked arrays.
 
     Random-mask draws derive from the config seed, one stream for the whole
-    batch, so encoding is deterministic per (samples, config).
+    batch (buy side, then sell side, sample by sample), so encoding is
+    deterministic per (samples, config).
     """
     rng = None
     if config.mask_variant == "random":
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MASK_STREAM]))
-    buys, sells, mbs, mss, labels, deliveries = [], [], [], [], [], []
+    buys, sells, mbs, mss = [], [], [], []
     for s in samples:
-        b, sl, mb, ms = encode_sample(s, config, rng)
-        buys.append(b)
-        sells.append(sl)
-        mbs.append(mb)
-        mss.append(ms)
-        labels.append([s.label])
-        deliveries.append(s.delivery_start)
+        for rows, sides, masks in ((s.buy_matrix, buys, mbs), (s.sell_matrix, sells, mss)):
+            padded = pad_side(rows, config.t_max)
+            sides.append(padded.matrix)
+            masks.append(build_dual_mask(padded, config.cutoff_exponent, config.mask_variant, rng).combined)
     n = len(samples)
     shape = (n, config.t_max, 3)
     return EncodedBatch(
@@ -291,8 +279,8 @@ def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
         sell=np.array(sells).reshape(shape),
         mask_buy=np.array(mbs).reshape(n, config.t_max, 1),
         mask_sell=np.array(mss).reshape(n, config.t_max, 1),
-        labels=np.array(labels, dtype=np.float64).reshape(n, 1),
-        delivery_starts=deliveries,
+        labels=np.array([s.label for s in samples], dtype=np.float64).reshape(n, 1),
+        delivery_starts=[s.delivery_start for s in samples],
     )
 
 
@@ -483,12 +471,9 @@ class QuantileForecast:
 
 
 def forward(sample: Sample, params: ModelParams, config: ModelConfig) -> QuantileForecast:
-    """Forecast one scaled sample; a deterministic composition of the blocks."""
-    rng = None
-    if config.mask_variant == "random":
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MASK_STREAM]))
-    b, s, mb, ms = encode_sample(sample, config, rng)
-    out = predict_batch(params, config, b[None], s[None], mb[None], ms[None])
+    """Forecast one scaled sample as a one-row batch."""
+    b = encode_samples([sample], config)
+    out = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
     return QuantileForecast(quantiles=config.head_quantiles, values=out.data[0].copy())
 
 

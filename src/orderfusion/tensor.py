@@ -7,9 +7,10 @@ optional leading batch axis, float64 only, no views, no in-place forward
 ops. Forward computation is pure, so separate graphs can live on separate
 threads; a single graph must stay on one thread.
 
-Gradients accumulate. A tensor created with ``requires_grad=True`` owns a
-zero-filled ``grad`` buffer from birth; repeated ``backward`` calls keep
-adding into it until ``zero_grad`` is called.
+Only leaves keep gradients. A tensor created with ``requires_grad=True``
+owns a zero-filled ``grad`` buffer from birth; repeated ``backward`` calls
+keep adding into it until ``zero_grad`` is called. An interior node's
+``grad`` is ``None`` except during a backward pass, which frees it once used.
 """
 
 from __future__ import annotations
@@ -150,14 +151,9 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out.grad = np.zeros_like(data)
-        out._parents = parents
-        out._backward = backward_fn
-    else:
-        out.grad = None
-        out._parents = ()
-        out._backward = None
+    out.grad = None
+    out._parents = parents if out.requires_grad else ()
+    out._backward = backward_fn if out.requires_grad else None
     return out
 
 
@@ -172,8 +168,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+    """The only writer of ``.grad``; leaves add in place into their buffer."""
     if t.requires_grad:
-        t.grad += _unbroadcast(grad, t.data.shape)
+        grad = _unbroadcast(grad, t.data.shape)
+        if t._parents:  # out of place: _add hands one array to both parents
+            t.grad = grad if t.grad is None else t.grad + grad
+        else:
+            t.grad += grad
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +249,8 @@ def abs_(x: Tensor) -> Tensor:
 def swish(x: Tensor) -> Tensor:
     """x * sigmoid(x), with an overflow-free sigmoid."""
     d = x.data
-    sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                   np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    sig = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     data = d * sig
 
     def backward_fn(g):
@@ -281,12 +282,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.grad += g @ np.swapaxes(b.data, -1, -2)
+            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            if rb == 2 and gb.ndim == 3:
-                gb = gb.sum(axis=0)
-            b.grad += gb
+            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(data, (a, b), backward_fn)
 
@@ -398,12 +396,12 @@ def mean_all(x: Tensor) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of every tensor reachable from ``loss``.
+    """Add d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-    ``loss`` must be a 1x1 scalar produced by recorded ops. Leaf gradients
-    add into existing buffers, so repeated calls accumulate one pass each;
-    call ``zero_grad`` between steps. Interior-node gradients are reset at
-    the start of every pass.
+    ``loss`` must be a 1x1 scalar. Leaf gradients add into their buffers,
+    so repeated calls accumulate one pass each; call ``zero_grad`` between
+    steps. Each interior gradient is freed as soon as its node's closure
+    consumes it, so every interior ``grad`` is ``None`` after the pass.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -426,13 +424,8 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    for node in topo:
-        if node._parents:
-            node.grad[...] = 0.0
-    if loss._parents:
-        loss.grad[...] = 1.0
-    else:
-        loss.grad += 1.0
+    _accumulate(loss, np.ones_like(loss.data))
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward(node.grad)
+            grad, node.grad = node.grad, None
+            node._backward(grad)

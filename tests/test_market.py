@@ -208,6 +208,14 @@ class TestBuildSample:
         assert report.n_dropped_empty_window == 1
         assert samples[0].delivery_start == DELIVERY
 
+    def test_dataset_in_ascending_delivery_order(self):
+        deliveries = [DELIVERY + timedelta(hours=h) for h in range(12)]
+        trades = [trade(m, price=50.0 + h, delivery=d)
+                  for h, d in enumerate(deliveries) for m in (90, 45)]
+        np.random.default_rng(11).shuffle(trades)
+        samples, _ = build_dataset(trades, self.CFG)
+        assert [s.delivery_start for s in samples] == deliveries
+
 
 class TestScaling:
     def test_percentile_oracle(self):

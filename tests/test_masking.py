@@ -44,6 +44,10 @@ class TestPaddingMask:
     def test_full_side(self):
         assert (padding_mask(pad_side(np.ones((6, 3)), 6)) == 1).all()
 
+    def test_real_row_equal_to_sentinel_stays_unmasked(self):
+        rows = np.array([[1.0, 2.0, 3.0], (PAD_SENTINEL,) * 3])
+        np.testing.assert_array_equal(padding_mask(pad_side(rows, 4)), [0, 0, 1, 1])
+
 
 class TestTemporalMask:
     def test_trailing_four_of_eight(self):

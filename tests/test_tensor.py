@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderfusion import tensor as T
+from orderfusion.model import ModelConfig, init_params, predict_batch
+from orderfusion.training import aql_loss
 
 
 def fd_grad(build_loss, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -304,3 +306,46 @@ class TestBackwardContract:
         out1 = T.softmax_rows(T.matmul(T.constant(a), T.constant(a))).data
         out2 = T.softmax_rows(T.matmul(T.constant(a), T.constant(a))).data
         assert (out1 == out2).all()
+
+    def test_interior_grads_freed_after_model_backward(self):
+        rng = np.random.default_rng(43)
+        config = ModelConfig(hidden_dim=4, interaction_degree=2, cutoff_exponent=2, t_max=8)
+        params = init_params(config)
+        buy, sell = rng.normal(size=(2, 5, 8, 3))
+        mask = np.ones((5, 8, 1))
+        pred = predict_batch(params, config, buy, sell, mask, mask)
+        loss = aql_loss(pred, T.constant(rng.normal(size=(5, 1))), config.quantiles)
+        T.backward(loss)
+        interior, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen and node._parents:
+                seen.add(id(node))
+                interior.append(node)
+                stack.extend(node._parents)
+        assert len(interior) > 50
+        assert all(node.grad is None for node in interior)
+        grads = [p.grad for p in params]
+        assert all(g is not None and np.isfinite(g).all() for g in grads)
+        assert any(g.any() for g in grads)
+
+    def test_add_feeding_two_interior_nodes_matches_fd(self):
+        # ``u + v`` hands one gradient array to both u and v, and each of them
+        # also receives a gradient from ``u * v``: an in-place add into the
+        # shared array would leak one sibling's gradient into the other.
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=(3, 2))
+        w = rng.normal(size=(3, 2))
+
+        def run():
+            tx = T.Tensor(x, requires_grad=True)
+            tw = T.Tensor(w, requires_grad=True)
+            u = T.swish(tx)
+            v = tx * tw
+            loss = T.sum_all(T.swish(u + v) + u * v)
+            return tx, tw, loss
+
+        tx, tw, loss = run()
+        T.backward(loss)
+        assert_grad_close(tx.grad, fd_grad(lambda: run()[2].item(), x))
+        assert_grad_close(tw.grad, fd_grad(lambda: run()[2].item(), w))
