@@ -8,6 +8,16 @@ non-crossing hierarchical head. Every intermediate row representation is
 multiplied by that side's combined mask, so padded or cut-off rows stay
 exactly zero.
 
+Rows that are zero in every sample of a batch on both sides are not
+computed at all. ``predict_batch`` trims the leading run of such rows (under
+the dual mask, at least the ``t_max - 2**cutoff_exponent`` rows the temporal
+cutoff removes) and passes their count, ``lead``, down the blocks. Their
+effect has a closed form: as keys they are zero logits that still take
+softmax mass (``softmax_rows(..., lead)``), and as rows they count in the
+average pool's divisor and bound the max pool below at 0. The outputs equal
+those of the untrimmed arrays up to floating-point summation order, and
+bit for bit when no leading row is dead.
+
 Ablation switches cover: mask variants, removing fusion entirely (pooled
 raw sides feed the heads), aggregation without the residual sum or with
 concatenation, max pooling, and the multi / single / post-hoc-sorted head
@@ -304,20 +314,24 @@ def cross_attention_fuse(
     w_key: T.Tensor,
     w_value: T.Tensor,
     mask_q: T.Tensor,
+    lead: int = 0,
 ) -> T.Tensor:
     """Scaled dot-product attention of one side over the other.
 
     Queries come from ``query_side``; keys and values from ``other_side``.
     Inputs are already masked; the output is re-masked with the query
     side's mask. Attention logits carry no extra masking, so zeroed key
-    rows contribute uniform terms to the softmax denominator.
+    rows contribute uniform terms to the softmax denominator. ``lead``
+    counts zero rows trimmed from the front of both sides: they are not
+    computed, but as keys their zero logits keep their softmax mass in
+    closed form (their values are zero, so they add nothing else).
     """
     hidden = w_query.data.shape[-1]
     q = T.matmul(query_side, w_query)
     k = T.matmul(other_side, w_key)
     v = T.matmul(other_side, w_value)
-    scores = T.matmul(q, T.transpose(k)) * (1.0 / math.sqrt(hidden))
-    return T.matmul(T.softmax_rows(scores), v) * mask_q
+    scores = T.matmul(q, T.transpose(k))
+    return T.matmul(T.softmax_rows(scores, 1.0 / math.sqrt(hidden), lead), v) * mask_q
 
 
 def fusion_stack(
@@ -327,10 +341,12 @@ def fusion_stack(
     mask_buy: T.Tensor,
     mask_sell: T.Tensor,
     degrees: int,
+    lead: int = 0,
 ) -> list[tuple[T.Tensor, T.Tensor]]:
     """Iterate the buy/sell cross-attention for the requested degrees.
 
-    Both sides at degree k read only degree k-1 representations.
+    Both sides at degree k read only degree k-1 representations. ``lead``
+    is the number of zero rows trimmed from the front of both sides.
     """
     if degrees < 1:
         raise ValueError("fusion_stack needs at least one degree")
@@ -342,14 +358,14 @@ def fusion_stack(
             params[f"fuse{k}.buy.wq"].value,
             params[f"fuse{k}.sell.wk"].value,
             params[f"fuse{k}.sell.wv"].value,
-            mask_buy,
+            mask_buy, lead,
         )
         next_sell = cross_attention_fuse(
             prev_sell, prev_buy,
             params[f"fuse{k}.sell.wq"].value,
             params[f"fuse{k}.buy.wk"].value,
             params[f"fuse{k}.buy.wv"].value,
-            mask_sell,
+            mask_sell, lead,
         )
         pairs.append((next_buy, next_sell))
         prev_buy, prev_sell = next_buy, next_sell
@@ -360,8 +376,12 @@ def aggregate_and_pool(
     pairs: list[tuple[T.Tensor, T.Tensor]],
     aggregation_variant: str = "residual",
     pooling_variant: str = "avg",
+    lead: int = 0,
 ) -> T.Tensor:
-    """Combine per-degree pairs and pool rows into one vector per sample."""
+    """Combine per-degree pairs and pool rows into one vector per sample.
+
+    ``lead`` zero rows trimmed from the front still count in the pool.
+    """
     if not pairs:
         raise ValueError("aggregate_and_pool needs at least one degree pair")
     if aggregation_variant == "residual":
@@ -379,10 +399,14 @@ def aggregate_and_pool(
             combined = term if combined is None else combined + term
     else:
         raise ValueError(f"unknown aggregation variant {aggregation_variant!r}")
+    return _pool(combined, pooling_variant, lead)
+
+
+def _pool(rows: T.Tensor, pooling_variant: str, lead: int) -> T.Tensor:
     if pooling_variant == "avg":
-        return T.mean_rows(combined)
+        return T.mean_rows(rows, lead)
     if pooling_variant == "max":
-        return T.max_rows(combined)
+        return T.max_rows(rows, lead)
     raise ValueError(f"unknown pooling variant {pooling_variant!r}")
 
 
@@ -439,14 +463,18 @@ def predict_batch(
     mask_buy: np.ndarray,
     mask_sell: np.ndarray,
 ) -> T.Tensor:
-    """Full forward pass over a batch of encoded arrays, in scaled space."""
-    tb = T.constant(buy)
-    ts = T.constant(sell)
-    mb = T.constant(mask_buy)
-    ms = T.constant(mask_sell)
+    """Full forward pass over a batch of encoded arrays, in scaled space.
+
+    The leading rows that every sample masks out on both sides are trimmed
+    before any op and accounted for in closed form (see the module doc).
+    """
+    lead = _dead_lead(mask_buy, mask_sell)
+    tb = T.constant(buy[:, lead:])
+    ts = T.constant(sell[:, lead:])
+    mb = T.constant(mask_buy[:, lead:])
+    ms = T.constant(mask_sell[:, lead:])
     if config.fusion_variant == "no_fusion":
-        combined = T.concat_cols(tb * mb, ts * ms)
-        pooled = T.mean_rows(combined) if config.pooling_variant == "avg" else T.max_rows(combined)
+        pooled = _pool(T.concat_cols(tb * mb, ts * ms), config.pooling_variant, lead)
     else:
         proj_b = input_project(
             tb, params["proj.buy.w"].value,
@@ -454,9 +482,16 @@ def predict_batch(
         proj_s = input_project(
             ts, params["proj.sell.w"].value,
             params["proj.sell.b"].value if "proj.sell.b" in params else None, ms)
-        pairs = fusion_stack(proj_b, proj_s, params, mb, ms, config.interaction_degree)
-        pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant)
+        pairs = fusion_stack(proj_b, proj_s, params, mb, ms, config.interaction_degree, lead)
+        pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant, lead)
     return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
+
+
+def _dead_lead(mask_buy: np.ndarray, mask_sell: np.ndarray) -> int:
+    """Leading rows whose buy and sell masks are 0 in every sample; at
+    least one row is always kept."""
+    live = np.flatnonzero((mask_buy != 0).any(axis=(0, 2)) | (mask_sell != 0).any(axis=(0, 2)))
+    return int(live[0]) if live.size else mask_buy.shape[1] - 1
 
 
 @dataclass

@@ -208,7 +208,8 @@ def _sub(a: Tensor, b: Tensor) -> Tensor:
 
     def backward_fn(g):
         _accumulate(a, g)
-        _accumulate(b, -g)
+        if b.requires_grad:
+            _accumulate(b, -g)
 
     return _node(data, (a, b), backward_fn)
 
@@ -217,8 +218,10 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_result(a, b, "mul")
 
     def backward_fn(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
     return _node(data, (a, b), backward_fn)
 
@@ -247,14 +250,29 @@ def abs_(x: Tensor) -> Tensor:
 
 
 def swish(x: Tensor) -> Tensor:
-    """x * sigmoid(x), with an overflow-free sigmoid."""
+    """x * sigmoid(x), with an overflow-free sigmoid.
+
+    The sigmoid is built in the ``exp(-|x|)`` buffer and the output buffer
+    holds ``1 + exp(-|x|)`` until the product overwrites it; the backward
+    pass uses one scratch array.
+    """
     d = x.data
-    e = np.exp(-np.abs(d))
-    sig = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    data = d * sig
+    sig = np.abs(d)
+    np.negative(sig, out=sig)
+    np.exp(sig, out=sig)                        # e = exp(-|x|)
+    data = np.add(sig, 1.0)                     # 1 + e
+    np.copyto(sig, 1.0, where=d >= 0)           # numerator: 1 for x >= 0, else e
+    np.divide(sig, data, out=sig)
+    np.multiply(d, sig, out=data)
 
     def backward_fn(g):
-        _accumulate(x, g * (sig * (1.0 + d * (1.0 - sig))))
+        # g * (sig * (1 + x * (1 - sig))), evaluated in that order
+        s = np.subtract(1.0, sig)
+        np.multiply(d, s, out=s)
+        np.add(1.0, s, out=s)
+        np.multiply(sig, s, out=s)
+        np.multiply(g, s, out=s)
+        _accumulate(x, s)
 
     return _node(data, (x,), backward_fn)
 
@@ -298,16 +316,37 @@ def transpose(x: Tensor) -> Tensor:
     return _node(np.swapaxes(x.data, -1, -2), (x,), backward_fn)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, stabilized by max subtraction."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+def softmax_rows(x: Tensor, scale: float = 1.0, lead: int = 0) -> Tensor:
+    """Row-wise softmax of ``x * scale`` over the last axis, stabilized by
+    max subtraction and computed in one buffer.
+
+    ``lead`` counts implicit zero logits in front of each row: columns that
+    are not materialized but still take softmax mass. With them the row max
+    is ``max(rowmax, 0)`` and the denominator gains ``lead * exp(-max)``.
+    The result covers the explicit columns only, so its rows sum to less
+    than one when ``lead > 0``. The implicit columns are constants, so the
+    backward pass is the plain ``s * (g - <g, s>) * scale``.
+    """
+    s = np.multiply(x.data, scale)
+    m = s.max(axis=-1, keepdims=True)
+    if lead:
+        np.maximum(m, 0.0, out=m)
+    np.subtract(s, m, out=s)
+    np.exp(s, out=s)
+    denom = s.sum(axis=-1, keepdims=True)
+    if lead:
+        np.negative(m, out=m)
+        denom += lead * np.exp(m)
+    np.divide(s, denom, out=s)
 
     def backward_fn(g):
-        # ds/dx through softmax: s * (g - <g, s>)
-        inner = (g * s).sum(axis=-1, keepdims=True)
-        _accumulate(x, s * (g - inner))
+        # ds/dx through softmax: s * (g - <g, s>), times the folded scale
+        gx = np.multiply(g, s)
+        inner = gx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        np.multiply(gx, s, out=gx)
+        np.multiply(gx, scale, out=gx)
+        _accumulate(x, gx)
 
     return _node(s, (x,), backward_fn)
 
@@ -326,33 +365,46 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     return _node(np.concatenate([a.data, b.data], axis=-1), (a, b), backward_fn)
 
 
-def mean_rows(x: Tensor) -> Tensor:
+def mean_rows(x: Tensor, lead: int = 0) -> Tensor:
     """Mean over the row axis: (B, T, F) -> (B, F), (T, F) -> (1, F).
 
-    Divides by the full row count, padded rows included.
+    Divides by the full row count, padded rows included. ``lead`` counts
+    implicit all-zero rows in front of ``x``: they add nothing to the sum
+    but count in the divisor ``T + lead``.
     """
     t = x.data.shape[-2]
-    data = x.data.mean(axis=-2)
+    n = t + lead
+    data = x.data.sum(axis=-2) / n
     if data.ndim == 1:
         data = data.reshape(1, -1)
 
     def backward_fn(g):
-        _accumulate(x, np.repeat(np.expand_dims(g / t, -2), t, axis=-2))
+        _accumulate(x, np.repeat(np.expand_dims(g / n, -2), t, axis=-2))
 
     return _node(data, (x,), backward_fn)
 
 
-def max_rows(x: Tensor) -> Tensor:
-    """Max over the row axis; ties route the gradient to the first row."""
-    idx = x.data.argmax(axis=-2)
+def max_rows(x: Tensor, lead: int = 0) -> Tensor:
+    """Max over the row axis; ties route the gradient to the first row.
+
+    ``lead`` counts implicit all-zero rows in front of ``x``: with any, the
+    max is clamped at 0, and where it is not positive the gradient goes to
+    those implicit rows (the first of them wins a tie at 0) and is dropped.
+    """
+    idx = np.expand_dims(x.data.argmax(axis=-2), -2)
     data = x.data.max(axis=-2)
+    if lead:
+        explicit_wins = np.expand_dims(data > 0.0, -2)
+        np.maximum(data, 0.0, out=data)
     if data.ndim == 1:
         data = data.reshape(1, -1)
 
     def backward_fn(g):
+        g = g.reshape(idx.shape)
+        if lead:
+            g = np.where(explicit_wins, g, 0.0)
         gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, -2),
-                          g.reshape(np.expand_dims(idx, -2).shape), axis=-2)
+        np.put_along_axis(gx, idx, g, axis=-2)
         _accumulate(x, gx)
 
     return _node(data, (x,), backward_fn)

@@ -22,6 +22,7 @@ from orderfusion.model import (
     save_checkpoint,
 )
 from orderfusion.market import RobustScaler
+from orderfusion.training import aql_loss
 
 UTC = timezone.utc
 
@@ -318,6 +319,108 @@ class TestForward:
         out = forward(sample, params, config)
         assert out.values.shape == (7,)
         assert out.is_monotone()
+
+
+def _untrimmed(params, config, buy, sell, mask_buy, mask_sell):
+    """The model composed from its blocks on the full arrays, lead 0."""
+    tb, ts, mb, ms = (T.constant(a) for a in (buy, sell, mask_buy, mask_sell))
+    if config.fusion_variant == "no_fusion":
+        combined = T.concat_cols(tb * mb, ts * ms)
+        pooled = T.mean_rows(combined) if config.pooling_variant == "avg" else T.max_rows(combined)
+    else:
+        proj_b = input_project(tb, params["proj.buy.w"].value, params["proj.buy.b"].value, mb)
+        proj_s = input_project(ts, params["proj.sell.w"].value, params["proj.sell.b"].value, ms)
+        pairs = fusion_stack(proj_b, proj_s, params, mb, ms, config.interaction_degree, lead=0)
+        pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant)
+    return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
+
+
+def _outputs_and_grads(build, params, labels, quantiles):
+    params.zero_grad()
+    out = build()
+    T.backward(aql_loss(out, T.constant(labels), quantiles))
+    return out.data.copy(), {p.name: p.grad.copy() for p in params}
+
+
+class TestDeadRowTrimming:
+    """``predict_batch`` skips the leading rows every sample masks out."""
+
+    def _case(self, n_max=10, hidden_dim=5, **kw):
+        config = small_config(hidden_dim=hidden_dim, interaction_degree=2, cutoff_exponent=2, t_max=16, **kw)
+        rng = np.random.default_rng(71)
+        samples = [make_sample(rng, int(rng.integers(1, n_max + 1)), int(rng.integers(1, n_max + 1)))
+                   for _ in range(6)]
+        params = init_params(config)
+        for p in params:
+            p.value.data[...] = rng.normal(scale=0.8, size=p.value.data.shape)
+        return config, params, encode_samples(samples, config)
+
+    @pytest.mark.parametrize("mask_variant", ["dual", "none", "random", "reverse"])
+    @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
+    @pytest.mark.parametrize("aggregation_variant", ["residual", "concat"])
+    @pytest.mark.parametrize("fusion_variant", ["fusion", "no_fusion"])
+    def test_matches_untrimmed_composition(self, mask_variant, pooling_variant,
+                                           aggregation_variant, fusion_variant):
+        config, params, b = self._case(
+            mask_variant=mask_variant, pooling_variant=pooling_variant,
+            aggregation_variant=aggregation_variant, fusion_variant=fusion_variant)
+        arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        out, grads = _outputs_and_grads(lambda: predict_batch(params, config, *arrays),
+                                        params, b.labels, config.quantiles)
+        ref, ref_grads = _outputs_and_grads(lambda: _untrimmed(params, config, *arrays),
+                                            params, b.labels, config.quantiles)
+        np.testing.assert_allclose(out, ref, atol=1e-12, rtol=0)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, atol=1e-12, rtol=0, err_msg=name)
+
+    @pytest.mark.parametrize("mask_variant", ["dual", "none", "random"])
+    @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
+    def test_bitwise_when_no_leading_row_is_dead(self, mask_variant, pooling_variant):
+        # 2**cutoff_exponent == t_max and one sample fills every row, so no
+        # leading row is dead under any of these variants
+        config = small_config(hidden_dim=5, interaction_degree=2, cutoff_exponent=3, t_max=8,
+                              mask_variant=mask_variant, pooling_variant=pooling_variant)
+        rng = np.random.default_rng(73)
+        samples = [make_sample(rng, 8, 3), make_sample(rng, 2, 5)]
+        params = init_params(config)
+        b = encode_samples(samples, config)
+        arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        out, grads = _outputs_and_grads(lambda: predict_batch(params, config, *arrays),
+                                        params, b.labels, config.quantiles)
+        ref, ref_grads = _outputs_and_grads(lambda: _untrimmed(params, config, *arrays),
+                                            params, b.labels, config.quantiles)
+        assert out.tobytes() == ref.tobytes()
+        for name, g in ref_grads.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+
+    @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
+    def test_batch_with_every_row_dead(self, pooling_variant):
+        # empty feature windows on both sides mask every row; one row is kept
+        config = small_config(pooling_variant=pooling_variant)
+        params = init_params(config)
+        for p in params:
+            p.value.data[...] = np.random.default_rng(79).normal(size=p.value.data.shape)
+        b = encode_samples([make_sample(np.random.default_rng(83), 0, 0)], config)
+        arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        out = predict_batch(params, config, *arrays)
+        assert np.isfinite(out.data).all()
+        np.testing.assert_array_equal(out.data, _untrimmed(params, config, *arrays).data)
+
+    def test_no_node_is_longer_than_the_cutoff(self):
+        # hidden_dim == cutoff, so the transposed keys (B, H, T) are held to it too
+        config, params, b = self._case(n_max=30, hidden_dim=4)
+        cutoff = 2 ** config.cutoff_exponent
+        pred = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
+        loss = aql_loss(pred, T.constant(b.labels), config.quantiles)
+        rows, stack, seen = [], [loss], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                if node.data.ndim == 3:
+                    rows.append(max(node.data.shape[1:]))
+                stack.extend(node._parents)
+        assert rows and max(rows) <= cutoff < config.t_max
 
 
 class TestParamCount:

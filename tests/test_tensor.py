@@ -136,6 +136,51 @@ class TestSoftmax:
         T.backward(loss)
         assert_grad_close(tx.grad, fd_grad(lambda: run()[1].item(), x))
 
+    @pytest.mark.parametrize("lead", [1, 3, 40])
+    @pytest.mark.parametrize("scale", [1.0, 0.35])
+    def test_implicit_zero_columns_match_explicit(self, lead, scale):
+        rng = np.random.default_rng(19)
+        x = rng.normal(scale=3.0, size=(2, 4, 5))
+        x[0, 0] = -np.abs(x[0, 0]) - 1.0      # every explicit logit below the zeros
+        x[0, 1] = 0.0                          # ties with the zeros
+        x[1, 2] += 200.0                       # zeros far below the max
+        x[1, 3] -= 3000.0                      # zeros far above: exp(-rowmax) would overflow
+        explicit = np.concatenate([np.zeros((2, 4, lead)), x * scale], axis=-1)
+        expected = T.softmax_rows(T.constant(explicit)).data[..., lead:]
+        with np.errstate(over="raise", invalid="raise"):
+            out = T.softmax_rows(T.constant(x), scale, lead).data
+        np.testing.assert_allclose(out, expected, atol=1e-15, rtol=0)
+
+    def test_lead_zero_scale_is_bitwise_the_scaled_input(self):
+        x = np.random.default_rng(21).normal(size=(3, 4, 4))
+        folded = T.softmax_rows(T.constant(x), 0.125).data
+        assert (folded == T.softmax_rows(T.constant(x * 0.125)).data).all()
+
+    def test_gradient_with_lead_and_scale_matches_fd(self):
+        rng = np.random.default_rng(27)
+        x = rng.normal(size=(2, 3, 4))
+        weights = rng.normal(size=(2, 3, 4))
+
+        def run():
+            tx = T.Tensor(x, requires_grad=True)
+            loss = T.sum_all(T.softmax_rows(tx, 0.7, 3) * T.constant(weights))
+            return tx, loss
+
+        tx, loss = run()
+        T.backward(loss)
+        assert_grad_close(tx.grad, fd_grad(lambda: run()[1].item(), x))
+
+    def test_gradient_with_lead_matches_explicit_columns(self):
+        rng = np.random.default_rng(33)
+        x = rng.normal(size=(2, 3, 4))
+        weights = rng.normal(size=(2, 3, 4))
+        tx = T.Tensor(x, requires_grad=True)
+        T.backward(T.sum_all(T.softmax_rows(tx, 0.5, 2) * T.constant(weights)))
+        te = T.Tensor(np.concatenate([np.zeros((2, 3, 2)), x * 0.5], axis=-1), requires_grad=True)
+        padded_w = np.concatenate([np.zeros((2, 3, 2)), weights], axis=-1)
+        T.backward(T.sum_all(T.softmax_rows(te) * T.constant(padded_w)))
+        np.testing.assert_allclose(tx.grad, te.grad[..., 2:] * 0.5, atol=1e-15, rtol=0)
+
 
 class TestSwish:
     def test_zero_fixed_point(self):
@@ -168,6 +213,22 @@ class TestSwish:
         tx, loss = run()
         T.backward(loss)
         assert_grad_close(tx.grad, fd_grad(lambda: run()[1].item(), x))
+
+    def test_bitwise_equal_to_reference_formula(self):
+        rng = np.random.default_rng(41)
+        d = np.concatenate([rng.normal(scale=4.0, size=200), [0.0, -0.0, 1e-300, -1e-300,
+                            30.0, -30.0, 745.0, -745.0, 1e4, -1e4, 1e300, -1e300]]).reshape(4, -1)
+        g = rng.normal(size=d.shape)
+        e = np.exp(-np.abs(d))
+        sig = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        expected = d * sig
+        tx = T.Tensor(d, requires_grad=True)
+        out = T.swish(tx)
+        assert out.data.tobytes() == expected.tobytes()
+        T.backward(T.sum_all(out * T.constant(g)))
+        expected_grad = np.zeros_like(d)       # a leaf adds into a zeroed buffer
+        expected_grad += g * (sig * (1.0 + d * (1.0 - sig)))
+        assert tx.grad.tobytes() == expected_grad.tobytes()
 
 
 class TestElementwise:
@@ -225,6 +286,38 @@ class TestReductionsAndShaping:
         tx, loss = run()
         T.backward(loss)
         assert_grad_close(tx.grad, fd_grad(lambda: run()[1].item(), x))
+
+    @pytest.mark.parametrize("lead", [1, 4])
+    def test_mean_rows_lead_matches_explicit_zero_rows(self, lead):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(3, 5, 2))
+        tx = T.Tensor(x, requires_grad=True)
+        te = T.Tensor(np.concatenate([np.zeros((3, lead, 2)), x], axis=1), requires_grad=True)
+        out, ref = T.mean_rows(tx, lead), T.mean_rows(te)
+        np.testing.assert_allclose(out.data, ref.data, atol=1e-15, rtol=0)
+        w = T.constant(rng.normal(size=(3, 2)))
+        T.backward(T.sum_all(out * w))
+        T.backward(T.sum_all(ref * w))
+        np.testing.assert_array_equal(tx.grad, te.grad[:, lead:])
+
+    @pytest.mark.parametrize("lead", [1, 3])
+    def test_max_rows_lead_matches_explicit_zero_rows(self, lead):
+        rng = np.random.default_rng(30)
+        x = rng.normal(size=(3, 4, 5))
+        x[0, :, 0] = -np.abs(x[0, :, 0]) - 0.5     # active max negative: the zeros win
+        x[1, :, 1] = -np.abs(x[1, :, 1])
+        x[1, 2, 1] = 0.0                          # active max exactly 0: tie goes to the zeros
+        x[2, :, 2] = np.abs(x[2, :, 2]) + 0.5     # active max positive
+        tx = T.Tensor(x, requires_grad=True)
+        te = T.Tensor(np.concatenate([np.zeros((3, lead, 5)), x], axis=1), requires_grad=True)
+        out, ref = T.max_rows(tx, lead), T.max_rows(te)
+        np.testing.assert_array_equal(out.data, ref.data)
+        assert out.data[0, 0] == 0.0 and out.data[1, 1] == 0.0
+        w = T.constant(rng.normal(size=(3, 5)))
+        T.backward(T.sum_all(out * w))
+        T.backward(T.sum_all(ref * w))
+        np.testing.assert_array_equal(tx.grad, te.grad[:, lead:])
+        assert not tx.grad[0, :, 0].any() and not tx.grad[1, :, 1].any()
 
     def test_max_rows_grad(self):
         rng = np.random.default_rng(29)
