@@ -5,6 +5,8 @@ forecasts probabilistic by adding hour-of-day residual percentiles fitted
 on training data, which makes them fully deterministic. The feature
 baselines compress the trade stream into one number (recent VWAP or last
 price) and fit per-quantile linear models or a shared multi-quantile MLP.
+``naive_baseline`` and ``feature_baseline`` run each family's protocol on
+a chronological split and score it on the test samples.
 """
 
 from __future__ import annotations
@@ -17,20 +19,24 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from . import tensor as T
-from .market import TradeRecord
+from .evaluation import MetricReport, aql, evaluate_forecasts
+from .market import RobustScaler, Sample, TradeRecord
 from .model import ModelParams, QUANTILES_DEFAULT
 from .training import (
     DivergenceError,
     OptimizerState,
     TrainConfig,
     adam_step,
-    aql,
     aql_loss,
     lr_at,
 )
 
 __all__ = [
     "NAIVE_VARIANTS",
+    "NAIVE_BASELINES",
+    "FEATURE_BASELINES",
+    "naive_baseline",
+    "feature_baseline",
     "naive_point",
     "ResidualQuantiles",
     "naive_probabilistic",
@@ -44,6 +50,12 @@ __all__ = [
 ]
 
 NAIVE_VARIANTS = ("prev_hour", "prev_day_same_hour", "mean3_same_hour")
+
+# Baseline protocols by result-row name: the naive rule each naive
+# baseline uses, and the trade features the feature baselines learn from.
+NAIVE_BASELINES = {"naive1": "prev_hour", "naive2": "prev_day_same_hour",
+                   "naive3": "mean3_same_hour"}
+FEATURE_BASELINES = ("vwap15", "last_price")
 
 
 # ---------------------------------------------------------------------------
@@ -307,3 +319,88 @@ def mlp_fit(
     if best is not None:
         model.params.load_arrays(best[1])
     return model
+
+
+# ---------------------------------------------------------------------------
+# evaluation protocols
+# ---------------------------------------------------------------------------
+
+
+def naive_baseline(
+    name: str, fit: list[Sample], test: list[Sample], quantiles=QUANTILES_DEFAULT,
+) -> list[tuple[str, MetricReport, str]]:
+    """Score a naive baseline (a key of ``NAIVE_BASELINES``) on ``test``.
+
+    Residual percentiles are fitted on the labels of ``fit`` (training plus
+    validation samples); point forecasts read every label before the target
+    delivery. Test deliveries without the rule's history, or whose hour has
+    no fitted residuals, are skipped. Returns one ``(name, report, "")``
+    result row, or no row when every test delivery was skipped.
+    """
+    rule = NAIVE_BASELINES[name]
+    residuals = ResidualQuantiles.fit({s.delivery_start: s.label for s in fit}, rule, quantiles)
+    history = LabelHistory({s.delivery_start: s.label for s in fit + test})
+    truth, forecasts = [], []
+    for s in test:
+        point = naive_point(history, s.delivery_start, rule)
+        if point is None or s.delivery_start.hour not in residuals.per_hour:
+            continue
+        forecasts.append(naive_probabilistic(residuals, point, s.delivery_start.hour))
+        truth.append(s.label)
+    if not forecasts:
+        return []
+    return [(name, evaluate_forecasts(np.array(truth), np.array(forecasts), quantiles), "")]
+
+
+def feature_baseline(
+    name: str,
+    trades: list[TradeRecord],
+    train: list[Sample],
+    val: list[Sample],
+    test: list[Sample],
+    mlp_cfg: MLPConfig,
+    quantiles=QUANTILES_DEFAULT,
+) -> list[tuple[str, MetricReport, str]]:
+    """Score a feature baseline (one of ``FEATURE_BASELINES``) on ``test``.
+
+    Each sample's feature is computed from its delivery's trades before the
+    forecast time; samples without one are dropped. Features and targets are
+    robust-scaled on the training split, then LQR and the MLP (validated on
+    ``val``) are fitted. Returns the rows ``(f"{name}_lqr", report, best)``
+    and ``(f"{name}_mlp", report, best)``, ``best`` being "yes" for the
+    learner with the lower test AQL (LQR on a tie) and "no" for the other;
+    no rows when the training or test split yields no feature.
+    """
+    feature_fn = feature_vwap15 if name == "vwap15" else feature_last_price
+    by_delivery: dict[datetime, list[TradeRecord]] = {}
+    for t in trades:
+        by_delivery.setdefault(t.delivery_start, []).append(t)
+
+    def feature_matrix(group):
+        feats, targets = [], []
+        for s in group:
+            value = feature_fn(by_delivery[s.delivery_start], s.forecast_time)
+            if value is not None:
+                feats.append(value)
+                targets.append(s.label)
+        return np.array(feats), np.array(targets)
+
+    x_train, y_train = feature_matrix(train)
+    x_val, y_val = feature_matrix(val)
+    x_test, y_test = feature_matrix(test)
+    if x_train.size == 0 or x_test.size == 0:
+        return []
+    fscaler = RobustScaler.fit(x_train.reshape(-1, 1))
+    lscaler = RobustScaler.fit(y_train.reshape(-1, 1))
+    xs = lambda x: fscaler.transform(x.reshape(-1, 1))
+    ys = lambda y: lscaler.transform(y.reshape(-1, 1)).reshape(-1)
+
+    lqr_models = lqr_fit(xs(x_train), ys(y_train), quantiles)
+    lqr_report = evaluate_forecasts(
+        y_test, lscaler.inverse(lqr_predict(lqr_models, xs(x_test))), quantiles)
+    mlp_model = mlp_fit(xs(x_train), ys(y_train), quantiles, mlp_cfg,
+                        val_features=xs(x_val), val_targets=ys(y_val))
+    mlp_report = evaluate_forecasts(y_test, lscaler.inverse(mlp_model.predict(xs(x_test))), quantiles)
+    lqr_best = lqr_report.aql <= mlp_report.aql
+    return [(f"{name}_lqr", lqr_report, "yes" if lqr_best else "no"),
+            (f"{name}_mlp", mlp_report, "no" if lqr_best else "yes")]

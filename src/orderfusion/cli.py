@@ -1,10 +1,13 @@
 """Command-line operator surface.
 
 Subcommands: synth, ingest, train, gridsearch, predict, evaluate,
-baseline, ablate, report. Every run writes exactly one manifest.json into
-the output directory with input hashes, so runs are auditable and
+baseline, ablate, report. ``dispatch`` resolves what every run shares (the
+config file, the seed, the output directory) and, once a command has
+succeeded, writes exactly one manifest.json into the output directory with
+the hash of every file the command read, so runs are auditable and
 reproducible. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure. ORDERFUSION_LOG (error|info|debug) controls logging.
+3 numerical failure. ORDERFUSION_LOG (error|info|debug) controls logging;
+any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -18,29 +21,18 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .baselines import (
-    MLPConfig,
-    ResidualQuantiles,
-    feature_last_price,
-    feature_vwap15,
-    lqr_fit,
-    lqr_predict,
-    mlp_fit,
-    naive_point,
-    naive_probabilistic,
-)
+from .baselines import MLPConfig, FEATURE_BASELINES, NAIVE_BASELINES, feature_baseline, naive_baseline
 from .evaluation import evaluate_forecasts, write_metric_report, write_plot_csv
 from .market import (
     MarketConfig,
     NoLabelError,
     ParseError,
-    RobustScaler,
     apply_scaler,
     build_dataset,
     fit_scaler,
@@ -58,6 +50,8 @@ from .synth import SynthConfig, write_market
 from .training import DivergenceError, TrainConfig, grid_search, train
 
 log = logging.getLogger("orderfusion")
+
+LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 RESULTS_HEADER = ["model", "fold", "index", "aql", "aqcr", "aiw", "rmse", "mae", "r2",
                   "n_samples", "best_of_pair"]
@@ -170,8 +164,20 @@ def synth_config_from(cfg: dict, seed: int) -> SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# manifest
+# run context and manifest
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class Run:
+    """What ``dispatch`` resolves once for every command: the parsed flags,
+    the ``--config`` keys (empty without one), the seed (``--seed``, else
+    the config's ``seed``, else 0) and the output directory, already made."""
+
+    args: argparse.Namespace
+    cfg: dict
+    seed: int
+    out: Path
 
 
 def _sha256(path) -> str:
@@ -192,10 +198,21 @@ def write_manifest(out_dir: Path, command: str, config_path, seed, inputs, outpu
         "wall_clock_seconds": round(time.time() - started, 3),
         "artifact_version": __version__,
     }
-    path = out_dir / "manifest.json"
+    return _write_json(out_dir / "manifest.json", manifest)
+
+
+def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
     return path
 
 
@@ -243,23 +260,18 @@ def _split_samples(samples, cfg: dict):
     return train, val, test
 
 
-def _scale_splits(train, val, test):
-    feature_scaler, label_scaler = fit_scaler(train)
+def _prepare_training(run: Run):
+    market_cfg = _market_config(run.args, run.cfg)
+    _, samples, _ = _load_samples(run.args.data, market_cfg)
+    train_raw, val_raw, test_raw = _split_samples(samples, run.cfg)
+    feature_scaler, label_scaler = fit_scaler(train_raw)
     scale = lambda group: [apply_scaler(s, feature_scaler, label_scaler) for s in group]
-    return scale(train), scale(val), scale(test), feature_scaler, label_scaler
+    return market_cfg, scale(train_raw), scale(val_raw), scale(test_raw), feature_scaler, label_scaler
 
 
 def _predictions_eur(params, config, batch, label_scaler):
     pred = predict_batch(params, config, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
     return label_scaler.inverse(pred.data)
-
-
-def _write_results_csv(path, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for row in rows:
-            writer.writerow(row)
 
 
 def _result_row(model, fold, index, report, best_of_pair=""):
@@ -268,107 +280,52 @@ def _result_row(model, fold, index, report, best_of_pair=""):
             "" if report.r2 is None else f"{report.r2:.6f}", report.n_samples, best_of_pair]
 
 
-def _train_singleq_ensemble(model_config: ModelConfig, train_cfg: TrainConfig,
-                            train_scaled, val_scaled, quantiles):
-    """One full model per quantile level, trained independently."""
-    per_tau = []
-    for tau in quantiles:
-        config = replace(model_config, head_variant="single", head_tau=tau)
-        result = train(config, train_scaled, val_scaled, train_cfg)
-        per_tau.append((tau, config, result.params))
-    return per_tau
-
-
-def _predict_singleq_ensemble(per_tau, batch, label_scaler, sort_outputs: bool):
-    cols = []
-    for tau, config, params in per_tau:
-        pred = predict_batch(params, config, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
-        cols.append(pred.data[:, 0])
-    stacked = label_scaler.inverse(np.column_stack(cols))
-    return np.sort(stacked, axis=1) if sort_outputs else stacked
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the Run and returns the paths it wrote
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    synth_cfg = synth_config_from(cfg, seed)
-    market = args.market or cfg.get("market", "DE")
+def cmd_synth(run: Run):
+    synth_cfg = synth_config_from(run.cfg, run.seed)
+    market = run.args.market or run.cfg.get("market", "DE")
     delta_c = MarketConfig.for_market(market, 1).delta_c_minutes
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trades_path, labels_path, skipped = write_market(synth_cfg, out, delta_c)
+    trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
-    write_manifest(out, "synth", args.config, seed,
-                   [args.config] if args.config else [], [trades_path, labels_path], started)
-    return 0
+    return [trades_path, labels_path]
 
 
-def cmd_ingest(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    market_cfg = _market_config(args, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _, _, report = _load_samples(args.data, market_cfg)
-    report_path = out / "ingest_report.json"
+def cmd_ingest(run: Run):
+    market_cfg = _market_config(run.args, run.cfg)
+    _, _, report = _load_samples(run.args.data, market_cfg)
     payload = report.to_dict()
     payload["market_delta_c_minutes"] = market_cfg.delta_c_minutes
     payload["index"] = market_cfg.index_x
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "ingest", args.config, args.seed, [args.data], [report_path], started)
-    return 0
+    return [_write_json(run.out / "ingest_report.json", payload)]
 
 
-def _prepare_training(args, cfg):
-    market_cfg = _market_config(args, cfg)
-    _, samples, _ = _load_samples(args.data, market_cfg)
-    train_raw, val_raw, test_raw = _split_samples(samples, cfg)
-    return market_cfg, _scale_splits(train_raw, val_raw, test_raw)
-
-
-def cmd_train(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    model_config = model_config_from(cfg, seed)
-    train_cfg = train_config_from(cfg, seed)
-    market_cfg, (train_s, val_s, test_s, feat, lab) = _prepare_training(args, cfg)
+def cmd_train(run: Run):
+    model_config = model_config_from(run.cfg, run.seed)
+    train_cfg = train_config_from(run.cfg, run.seed)
+    market_cfg, train_s, val_s, _, feat, lab = _prepare_training(run)
 
     result = train(model_config, train_s, val_s, train_cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ckpt_path = out / "checkpoint.json"
+    ckpt_path = run.out / "checkpoint.json"
     save_checkpoint(ckpt_path, model_config, result.params, feat, lab,
                     extra={"best_epoch": result.best_epoch,
                            "market": {"index": market_cfg.index_x,
                                       "delta_c_minutes": market_cfg.delta_c_minutes}})
-    log_path = out / "training_log.csv"
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "train_aql", "val_aql", "lr"])
-        for h in result.history:
-            writer.writerow([h.epoch, repr(h.train_aql), repr(h.val_aql), repr(h.lr)])
+    log_path = _write_csv(run.out / "training_log.csv", ["epoch", "train_aql", "val_aql", "lr"],
+                          [[h.epoch, repr(h.train_aql), repr(h.val_aql), repr(h.lr)]
+                           for h in result.history])
     log.info("train: best epoch %d, val AQL %.6f", result.best_epoch, result.best_val_aql)
-    write_manifest(out, "train", args.config, seed,
-                   [p for p in [args.data, args.config] if p], [ckpt_path, log_path], started)
-    return 0
+    return [ckpt_path, log_path]
 
 
-def cmd_gridsearch(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    base_config = model_config_from(cfg, seed)
-    train_cfg = train_config_from(cfg, seed)
-    _, (train_s, val_s, _, _, _) = _prepare_training(args, cfg)
+def cmd_gridsearch(run: Run):
+    cfg = run.cfg
+    base_config = model_config_from(cfg, run.seed)
+    train_cfg = train_config_from(cfg, run.seed)
+    _, train_s, val_s, _, _, _ = _prepare_training(run)
 
     def values(key, default, cast=int):
         raw = cfg.get(key)
@@ -384,205 +341,129 @@ def cmd_gridsearch(args):
         "interaction_degree": values("grid_interaction_degree", [1, 2, 4]),
     }
     best, table = grid_search(base_config, train_cfg, space, [(train_s, val_s)],
-                              budget=args.budget, jobs=args.jobs)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    table_path = out / "gridsearch.csv"
+                              budget=run.args.budget, jobs=run.args.jobs)
     keys = sorted(space)
-    with open(table_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["fold"] + keys + ["val_aql", "best_epoch"])
-        for cell in table:
-            writer.writerow([cell.fold] + [cell.overrides.get(k, "") for k in keys]
-                            + [repr(cell.val_aql), cell.best_epoch])
-    best_path = out / "gridsearch_best.json"
-    with open(best_path, "w", encoding="utf-8") as fh:
-        json.dump({str(fold): {"overrides": cell.overrides, "val_aql": cell.val_aql}
-                   for fold, cell in best.items()}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    write_manifest(out, "gridsearch", args.config, seed,
-                   [p for p in [args.data, args.config] if p], [table_path, best_path], started)
-    return 0
+    return [_write_csv(run.out / "gridsearch.csv", ["fold"] + keys + ["val_aql", "best_epoch"],
+                       [[cell.fold] + [cell.overrides.get(k, "") for k in keys]
+                        + [repr(cell.val_aql), cell.best_epoch] for cell in table]),
+            _write_json(run.out / "gridsearch_best.json",
+                        {str(fold): {"overrides": cell.overrides, "val_aql": cell.val_aql}
+                         for fold, cell in best.items()})]
 
 
-def _load_checkpoint_and_test(args, checkpoint_path):
-    config, params, feat, lab = load_checkpoint(checkpoint_path)
-    with open(checkpoint_path, encoding="utf-8") as fh:
-        extra = json.load(fh).get("extra", {})
-    market = extra.get("market", {})
-    market_cfg = MarketConfig(index_x=int(market.get("index", args.index or 1)),
-                              delta_c_minutes=int(market.get("delta_c_minutes", 30)))
-    _, samples, _ = _load_samples(args.data, market_cfg)
+def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
+    """The market a checkpoint was trained on. One saved without it falls
+    back to ``--market``/``--index`` and the config, as ``train`` resolves
+    them; flags that contradict a recorded market are a data error."""
+    args = run.args
+    if recorded is None:
+        return _market_config(args, run.cfg)
+    market_cfg = MarketConfig(index_x=int(recorded["index"]),
+                              delta_c_minutes=int(recorded["delta_c_minutes"]))
+    if ((args.market and MarketConfig.for_market(args.market, 1).delta_c_minutes
+         != market_cfg.delta_c_minutes)
+            or (args.index and args.index != market_cfg.index_x)):
+        raise DataError(
+            f"--market/--index contradict {args.checkpoint}, trained on index "
+            f"{market_cfg.index_x} with a {market_cfg.delta_c_minutes}-minute gate closure offset")
+    return market_cfg
+
+
+def _score_checkpoint(run: Run):
+    """Forecast every delivery in ``--data`` with ``--checkpoint``. The
+    manifest records the checkpoint's seed, the one the forecasts come from."""
+    config, params, feat, lab, extra = load_checkpoint(run.args.checkpoint)
+    run.seed = config.seed
+    _, samples, _ = _load_samples(run.args.data, _checkpoint_market(run, extra.get("market")))
     batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
     y_true = np.array([s.label for s in samples])
-    return config, params, feat, lab, batch, y_true
+    return config, batch, y_true, _predictions_eur(params, config, batch, lab)
 
 
-def cmd_predict(args):
-    started = time.time()
-    config, params, feat, lab, batch, y_true = _load_checkpoint_and_test(args, args.checkpoint)
-    forecasts = _predictions_eur(params, config, batch, lab)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    pred_path = out / "predictions.csv"
+def cmd_predict(run: Run):
+    config, batch, y_true, forecasts = _score_checkpoint(run)
+    pred_path = run.out / "predictions.csv"
     write_plot_csv(pred_path, batch.delivery_starts, y_true, forecasts, config.head_quantiles)
-    write_manifest(out, "predict", None, config.seed, [args.data, args.checkpoint],
-                   [pred_path], started)
-    return 0
+    return [pred_path]
 
 
-def cmd_evaluate(args):
-    started = time.time()
-    config, params, feat, lab, batch, y_true = _load_checkpoint_and_test(args, args.checkpoint)
-    forecasts = _predictions_eur(params, config, batch, lab)
+def cmd_evaluate(run: Run):
+    config, batch, y_true, forecasts = _score_checkpoint(run)
     report = evaluate_forecasts(y_true, forecasts, config.head_quantiles)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "metrics.json"
+    report_path = run.out / "metrics.json"
     write_metric_report(report_path, report)
-    plot_path = out / "predictions.csv"
+    plot_path = run.out / "predictions.csv"
     write_plot_csv(plot_path, batch.delivery_starts, y_true, forecasts, config.head_quantiles)
     log.info("evaluate: AQL %.4f, AQCR %.2f%%, R2 %s", report.aql, report.aqcr,
              "n/a" if report.r2 is None else f"{report.r2:.4f}")
-    write_manifest(out, "evaluate", None, config.seed, [args.data, args.checkpoint],
-                   [report_path, plot_path], started)
-    return 0
+    return [report_path, plot_path]
 
 
-def cmd_baseline(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    market_cfg = _market_config(args, cfg)
-    trades, samples, _ = _load_samples(args.data, market_cfg)
+def cmd_baseline(run: Run):
+    variant, cfg = run.args.variant, run.cfg
+    if variant not in NAIVE_BASELINES and variant not in FEATURE_BASELINES:
+        raise UsageError(f"unknown baseline variant {variant!r}; known: "
+                         + " ".join([*NAIVE_BASELINES, *FEATURE_BASELINES]))
+    market_cfg = _market_config(run.args, cfg)
+    trades, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, cfg)
-    quantiles = ModelConfig(hidden_dim=1, cutoff_exponent=0, t_max=1).quantiles
-    rows = []
-
-    variant = args.variant or "naive1"
-
-    if variant in ("naive1", "naive2", "naive3"):
-        kind = {"naive1": "prev_hour", "naive2": "prev_day_same_hour",
-                "naive3": "mean3_same_hour"}[variant]
-        train_labels = {s.delivery_start: s.label for s in train_raw + val_raw}
-        all_labels = {s.delivery_start: s.label for s in samples}
-        residuals = ResidualQuantiles.fit(train_labels, kind, quantiles)
-        forecasts, kept_truth, kept_deliveries = [], [], []
-        skipped = 0
-        for s in test_raw:
-            point = naive_point(all_labels, s.delivery_start, kind)
-            if point is None or s.delivery_start.hour not in residuals.per_hour:
-                skipped += 1
-                continue
-            forecasts.append(naive_probabilistic(residuals, point, s.delivery_start.hour))
-            kept_truth.append(s.label)
-            kept_deliveries.append(s.delivery_start)
-        if not forecasts:
-            raise DataError(f"{variant}: no test sample had the required history")
-        report = evaluate_forecasts(np.array(kept_truth), np.array(forecasts), quantiles)
-        rows.append(_result_row(variant, 0, market_cfg.index_x, report))
-        log.info("%s: %d forecasts (%d skipped), AQL %.4f", variant, len(forecasts), skipped, report.aql)
-    elif variant in ("vwap15", "last_price"):
-        feature_fn = feature_vwap15 if variant == "vwap15" else feature_last_price
-        by_delivery = {}
-        for t in trades:
-            by_delivery.setdefault(t.delivery_start, []).append(t)
-
-        def feature_matrix(group):
-            feats, targets = [], []
-            for s in group:
-                value = feature_fn(by_delivery[s.delivery_start], s.forecast_time)
-                if value is None:
-                    continue
-                feats.append(value)
-                targets.append(s.label)
-            return np.array(feats), np.array(targets)
-
-        x_train, y_train = feature_matrix(train_raw)
-        x_val, y_val = feature_matrix(val_raw)
-        x_test, y_test = feature_matrix(test_raw)
-        if x_train.size == 0 or x_test.size == 0:
-            raise DataError(f"{variant}: feature extraction found no usable samples")
-        fscaler = RobustScaler.fit(x_train.reshape(-1, 1))
-        lscaler = RobustScaler.fit(y_train.reshape(-1, 1))
-        xs = lambda x: fscaler.transform(x.reshape(-1, 1))
-        ys = lambda y: lscaler.transform(y.reshape(-1, 1)).reshape(-1)
-
-        lqr_models = lqr_fit(xs(x_train), ys(y_train), quantiles)
-        lqr_pred = lscaler.inverse(lqr_predict(lqr_models, xs(x_test)))
-        lqr_report = evaluate_forecasts(y_test, lqr_pred, quantiles)
-
+    if variant in NAIVE_BASELINES:
+        rows = naive_baseline(variant, train_raw + val_raw, test_raw)
+    else:
         mlp_cfg = MLPConfig(hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
                             n_layers=_get(cfg, "mlp_n_layers", int, 2),
                             dropout=_get(cfg, "mlp_dropout", float, 0.1),
                             epochs=_get(cfg, "epochs", int, 50),
                             batch_size=_get(cfg, "batch_size", int, 512),
                             lr0=_get(cfg, "lr0", float, 7e-4),
-                            seed=seed)
-        mlp_model = mlp_fit(xs(x_train), ys(y_train), quantiles, mlp_cfg,
-                            val_features=xs(x_val), val_targets=ys(y_val))
-        mlp_pred = lscaler.inverse(mlp_model.predict(xs(x_test)))
-        mlp_report = evaluate_forecasts(y_test, mlp_pred, quantiles)
-
-        lqr_best = lqr_report.aql <= mlp_report.aql
-        rows.append(_result_row(f"{variant}_lqr", 0, market_cfg.index_x, lqr_report,
-                                "yes" if lqr_best else "no"))
-        rows.append(_result_row(f"{variant}_mlp", 0, market_cfg.index_x, mlp_report,
-                                "no" if lqr_best else "yes"))
-    else:
-        raise UsageError(f"unknown baseline variant {variant!r}; "
-                         "known: naive1 naive2 naive3 vwap15 last_price")
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "baseline_results.csv"
-    _write_results_csv(results_path, rows)
-    write_manifest(out, "baseline", args.config, seed,
-                   [p for p in [args.data, args.config] if p], [results_path], started)
-    return 0
+                            seed=run.seed)
+        rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw, mlp_cfg)
+    if not rows:
+        raise DataError(f"{variant}: no test sample had the history or trades the baseline needs")
+    for model, report, _ in rows:
+        log.info("%s: %d of %d test samples forecast, AQL %.4f",
+                 model, report.n_samples, len(test_raw), report.aql)
+    return [_write_csv(run.out / "baseline_results.csv", RESULTS_HEADER,
+                       [_result_row(model, 0, market_cfg.index_x, report, best)
+                        for model, report, best in rows])]
 
 
-def cmd_ablate(args):
-    started = time.time()
-    cfg = read_kv_config(args.config) if args.config else {}
-    seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
-    variant = args.variant
+def cmd_ablate(run: Run):
+    variant = run.args.variant
     if variant not in ABLATION_VARIANTS:
         raise UsageError(f"unknown ablation variant {variant!r}; known: "
                          + " ".join(sorted(ABLATION_VARIANTS)))
-    model_config = model_config_from(cfg, seed)
-    train_cfg = train_config_from(cfg, seed)
-    market_cfg, (train_s, val_s, test_s, feat, lab) = _prepare_training(args, cfg)
+    model_config = model_config_from(run.cfg, run.seed)
+    train_cfg = train_config_from(run.cfg, run.seed)
+    market_cfg, train_s, val_s, test_s, _, lab = _prepare_training(run)
 
-    test_batch = None
-    if ABLATION_VARIANTS[variant] is None:
-        per_tau = _train_singleq_ensemble(model_config, train_cfg, train_s, val_s,
-                                          model_config.quantiles)
-        test_batch = encode_samples(test_s, per_tau[0][1])
-        forecasts = _predict_singleq_ensemble(per_tau, test_batch, lab,
-                                              sort_outputs=(variant == "posthoc_sort"))
+    overrides = ABLATION_VARIANTS[variant]
+    config = replace(model_config, **(overrides or {}))
+    test_batch = encode_samples(test_s, config)
+    if overrides is None:
+        # one full model per quantile level, trained independently
+        cols = []
+        for tau in model_config.quantiles:
+            single = replace(config, head_variant="single", head_tau=tau)
+            params = train(single, train_s, val_s, train_cfg).params
+            cols.append(_predictions_eur(params, single, test_batch, lab)[:, 0])
+        forecasts = np.column_stack(cols)
+        if variant == "posthoc_sort":
+            forecasts = np.sort(forecasts, axis=1)
     else:
-        config = replace(model_config, **ABLATION_VARIANTS[variant])
         result = train(config, train_s, val_s, train_cfg)
-        test_batch = encode_samples(test_s, config)
         forecasts = _predictions_eur(result.params, config, test_batch, lab)
 
     y_true = lab.inverse(test_batch.labels).reshape(-1)
     report = evaluate_forecasts(y_true, forecasts, model_config.quantiles)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    results_path = out / "ablation_results.csv"
-    _write_results_csv(results_path, [_result_row(variant, 0, market_cfg.index_x, report)])
     log.info("ablate %s: AQL %.4f, AQCR %.2f%%", variant, report.aql, report.aqcr)
-    write_manifest(out, "ablate", args.config, seed,
-                   [p for p in [args.data, args.config] if p], [results_path], started)
-    return 0
+    return [_write_csv(run.out / "ablation_results.csv", RESULTS_HEADER,
+                       [_result_row(variant, 0, market_cfg.index_x, report)])]
 
 
-def cmd_report(args):
-    started = time.time()
+def cmd_report(run: Run):
     rows = []
-    for path in args.inputs:
+    for path in run.args.inputs:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or "model" not in reader.fieldnames:
@@ -600,27 +481,22 @@ def cmd_report(args):
             if row.get(m):
                 bucket[m].append(float(row[m]))
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_path = out / "report.csv"
-    with open(report_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["model", "index", "n_rows"] + [f"{m}_mean_std" for m in metrics])
-        for (model, index), bucket in sorted(grouped.items()):
-            n_rows = max(len(v) for v in bucket.values())
-            cells = []
-            for m in metrics:
-                vals = bucket[m]
-                if not vals:
-                    cells.append("")
-                    continue
-                mean = float(np.mean(vals))
-                std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-                cells.append(f"{mean:.2f} +- {std:.2f}")
-            writer.writerow([model, index, n_rows] + cells)
+    table = []
+    for (model, index), bucket in sorted(grouped.items()):
+        cells = []
+        for m in metrics:
+            vals = bucket[m]
+            if not vals:
+                cells.append("")
+                continue
+            mean = float(np.mean(vals))
+            std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
+            cells.append(f"{mean:.2f} +- {std:.2f}")
+        table.append([model, index, max(len(v) for v in bucket.values())] + cells)
+    report_path = _write_csv(run.out / "report.csv",
+                             ["model", "index", "n_rows"] + [f"{m}_mean_std" for m in metrics], table)
     log.info("report: aggregated %d rows into %s", len(rows), report_path)
-    write_manifest(out, "report", None, args.seed, list(args.inputs), [report_path], started)
-    return 0
+    return [report_path]
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +509,7 @@ def build_parser() -> _Parser:
                      description="Intraday price-index forecasting from buy/sell trade sequences")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False, out=True):
+    def common(p, data=False, checkpoint=False):
         p.add_argument("--config", default=None, help="key = value configuration file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--market", choices=["DE", "AT"], default=None)
@@ -642,8 +518,7 @@ def build_parser() -> _Parser:
             p.add_argument("--data", required=True, help="trade CSV")
         if checkpoint:
             p.add_argument("--checkpoint", required=True)
-        if out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     common(sub.add_parser("synth", help="generate a synthetic market"))
     common(sub.add_parser("ingest", help="parse trades and report sample counts"), data=True)
@@ -682,15 +557,24 @@ _COMMANDS = {
 
 
 def dispatch(argv) -> int:
-    level = os.environ.get("ORDERFUSION_LOG", "info").lower()
-    logging.basicConfig(
-        level={"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(level, logging.INFO),
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        level = os.environ.get("ORDERFUSION_LOG", "info")
+        if level.lower() not in LOG_LEVELS:
+            raise UsageError(f"ORDERFUSION_LOG={level!r}: expected error|info|debug")
+        logging.basicConfig(level=LOG_LEVELS[level.lower()],
+                            format="%(levelname)s %(name)s: %(message)s")
+        args = build_parser().parse_args(argv)
+        started = time.time()
+        given = vars(args)
+        cfg = read_kv_config(given["config"]) if given.get("config") else {}
+        seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+        run = Run(args=args, cfg=cfg, seed=seed, out=Path(args.out))
+        run.out.mkdir(parents=True, exist_ok=True)
+        outputs = _COMMANDS[args.command](run)
+        inputs = [given[k] for k in ("data", "config", "checkpoint") if given.get(k)]
+        write_manifest(run.out, args.command, given.get("config"), run.seed,
+                       inputs + given.get("inputs", []), outputs, started)
+        return 0
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -18,6 +18,7 @@ from .market import format_timestamp
 
 __all__ = [
     "MetricReport",
+    "aql",
     "aqcr",
     "aiw",
     "symmetric_pairs",
@@ -114,14 +115,30 @@ def dm_test(loss_a: np.ndarray, loss_b: np.ndarray) -> tuple[float, float]:
     return stat, _normal_two_sided_p(stat)
 
 
+def _pinball_matrix(y: np.ndarray, forecasts: np.ndarray, quantiles) -> np.ndarray:
+    """Pinball loss of every sample at every level, shaped (n, q)."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    forecasts = np.asarray(forecasts, dtype=np.float64)
+    if forecasts.ndim == 1:
+        forecasts = forecasts.reshape(-1, 1)
+    quantiles = np.asarray(quantiles, dtype=np.float64).reshape(1, -1)
+    if y.shape[0] == 0:
+        raise ValueError("aql needs at least one sample")
+    if forecasts.shape != (y.shape[0], quantiles.shape[1]):
+        raise ValueError(f"forecast shape {forecasts.shape} does not match "
+                         f"{y.shape[0]} samples x {quantiles.shape[1]} quantiles")
+    diff = y.reshape(-1, 1) - forecasts
+    return np.where(diff >= 0, quantiles * diff, (quantiles - 1.0) * diff)
+
+
+def aql(y: np.ndarray, forecasts: np.ndarray, quantiles) -> float:
+    """Mean pinball loss over samples and quantile levels."""
+    return float(_pinball_matrix(y, forecasts, quantiles).mean())
+
+
 def per_sample_aql(y: np.ndarray, forecasts: np.ndarray, quantiles) -> np.ndarray:
     """Mean pinball loss per sample; the differential series for dm_test."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-    forecasts = np.asarray(forecasts, dtype=np.float64)
-    taus = np.asarray(quantiles, dtype=np.float64).reshape(1, -1)
-    diff = y - forecasts
-    loss = np.where(diff >= 0, taus * diff, (taus - 1.0) * diff)
-    return loss.mean(axis=1)
+    return _pinball_matrix(y, forecasts, quantiles).mean(axis=1)
 
 
 @dataclass
@@ -157,11 +174,9 @@ def evaluate_forecasts(y: np.ndarray, forecasts: np.ndarray, quantiles) -> Metri
     q = tuple(quantiles)
     median_idx = q.index(0.50)
     rmse, mae, r2 = pointwise(y, forecasts[:, median_idx])
-    from .training import aql as _aql  # local import to avoid a cycle
-
     pair_levels = tuple((q[lo], q[hi]) for lo, hi in symmetric_pairs(q))
     return MetricReport(
-        aql=_aql(y, forecasts, q),
+        aql=aql(y, forecasts, q),
         aqcr=aqcr(forecasts),
         aiw=aiw(forecasts, q),
         rmse=rmse,

@@ -545,7 +545,9 @@ def save_checkpoint(
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (config, params, feature_scaler, label_scaler)."""
+    """Read a checkpoint; returns (config, params, feature_scaler,
+    label_scaler, extra), ``extra`` being the mapping given to
+    :func:`save_checkpoint` (empty when none was)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if payload.get("magic") != CHECKPOINT_MAGIC:
@@ -561,4 +563,5 @@ def load_checkpoint(path):
         params,
         RobustScaler.from_dict(payload["feature_scaler"]),
         RobustScaler.from_dict(payload["label_scaler"]),
+        payload.get("extra", {}),
     )

@@ -16,6 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from . import tensor as T
+from .evaluation import aql
 from .market import Sample
 from .model import EncodedBatch, ModelConfig, ModelParams, encode_samples, init_params, predict_batch
 
@@ -75,23 +76,6 @@ def pinball(y: float, yhat: float, tau: float) -> float:
     if y >= yhat:
         return tau * (y - yhat)
     return (1.0 - tau) * (yhat - y)
-
-
-def aql(y: np.ndarray, forecasts: np.ndarray, quantiles) -> float:
-    """Mean pinball loss over samples and quantile levels."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    forecasts = np.asarray(forecasts, dtype=np.float64)
-    if forecasts.ndim == 1:
-        forecasts = forecasts.reshape(-1, 1)
-    quantiles = np.asarray(quantiles, dtype=np.float64).reshape(1, -1)
-    if y.shape[0] == 0:
-        raise ValueError("aql needs at least one sample")
-    if forecasts.shape != (y.shape[0], quantiles.shape[1]):
-        raise ValueError(f"forecast shape {forecasts.shape} does not match "
-                         f"{y.shape[0]} samples x {quantiles.shape[1]} quantiles")
-    diff = y.reshape(-1, 1) - forecasts
-    loss = np.where(diff >= 0, quantiles * diff, (quantiles - 1.0) * diff)
-    return float(loss.mean())
 
 
 def aql_loss(pred: T.Tensor, y: T.Tensor, quantiles) -> T.Tensor:
@@ -177,17 +161,17 @@ def _eval_aql(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -> 
 
 def train(
     model_config: ModelConfig,
-    train_samples: list[Sample] | EncodedBatch,
-    val_samples: list[Sample] | EncodedBatch,
+    train_samples: list[Sample],
+    val_samples: list[Sample],
     cfg: TrainConfig = TrainConfig(),
 ) -> TrainResult:
     """Fit the model, returning the weights of the best validation epoch.
 
-    Accepts scaled samples (encoded here) or pre-encoded batches. The last
-    partial batch of each epoch is kept.
+    Takes scaled samples and encodes them here. The last partial batch of
+    each epoch is kept.
     """
-    train_batch = train_samples if isinstance(train_samples, EncodedBatch) else encode_samples(train_samples, model_config)
-    val_batch = val_samples if isinstance(val_samples, EncodedBatch) else encode_samples(val_samples, model_config)
+    train_batch = encode_samples(train_samples, model_config)
+    val_batch = encode_samples(val_samples, model_config)
     if len(train_batch) == 0 or len(val_batch) == 0:
         raise ValueError("train and validation splits must be non-empty")
 
@@ -305,9 +289,9 @@ def _expand_space(space: dict) -> list[dict]:
 
 
 def _run_cell(args):
-    base_config, cfg, fold_idx, overrides, train_batch, val_batch = args
+    base_config, cfg, fold_idx, overrides, train_samples, val_samples = args
     config = replace(base_config, **overrides)
-    result = train(config, train_batch, val_batch, cfg)
+    result = train(config, train_samples, val_samples, cfg)
     return GridCellResult(fold=fold_idx, overrides=overrides,
                           val_aql=result.best_val_aql, best_epoch=result.best_epoch)
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -152,6 +153,147 @@ class TestBaselineAblateReport:
         assert all("+-" in r["aql_mean_std"] for r in rows)
 
 
+class TestCommandVariants:
+    def test_gridsearch_budget(self, workspace):
+        out = workspace / "grid"
+        code = dispatch(["gridsearch", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--budget", "2", "--out", str(out)])
+        assert code == 0
+        with open(out / "gridsearch.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        best = json.loads((out / "gridsearch_best.json").read_text())
+        assert best["0"]["val_aql"] == min(float(r["val_aql"]) for r in rows)
+
+    def test_ablate_posthoc_sort_ensemble_never_crosses(self, workspace):
+        out = workspace / "posthoc_sort"
+        code = dispatch(["ablate", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--variant", "posthoc_sort", "--out", str(out)])
+        assert code == 0
+        with open(out / "ablation_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["model"] for r in rows] == ["posthoc_sort"]
+        assert float(rows[0]["aqcr"]) == 0.0
+
+    @pytest.mark.parametrize("variant, models", [
+        ("naive2", {"naive2"}),
+        ("last_price", {"last_price_lqr", "last_price_mlp"}),
+    ])
+    def test_baseline_variant(self, workspace, variant, models):
+        out = workspace / variant
+        code = dispatch(["baseline", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--variant", variant, "--out", str(out)])
+        assert code == 0
+        with open(out / "baseline_results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["model"] for r in rows} == models
+        assert all(int(r["n_samples"]) > 0 for r in rows)
+
+    def test_naive_baseline_without_history_is_data_error(self, workspace, tmp_path):
+        # No test delivery of the 4-day market has labels 24, 48 and 72 hours
+        # earlier; test_scripts runs naive3 on a market that has them.
+        assert dispatch(["baseline", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--variant", "naive3", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+MANIFEST_KEYS = {"command", "config_path", "seed", "inputs", "outputs",
+                 "wall_clock_seconds", "artifact_version"}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifest:
+    @pytest.fixture(scope="class")
+    def runs(self, workspace):
+        """Every command once, with --config wherever it is accepted; maps
+        each command to its output directory and the files it was given."""
+        cfg = str(workspace / "run.cfg")
+        data = str(workspace / "data" / "trades.csv")
+        root = workspace / "manifests"
+        ckpt = str(root / "train" / "checkpoint.json")
+        argvs = {
+            "synth": ["--config", str(workspace / "synth.cfg")],
+            "ingest": ["--config", cfg, "--data", data],
+            "train": ["--config", cfg, "--data", data],
+            "gridsearch": ["--config", cfg, "--data", data, "--budget", "1"],
+            "predict": ["--config", cfg, "--data", data, "--checkpoint", ckpt],
+            "evaluate": ["--config", cfg, "--data", data, "--checkpoint", ckpt],
+            "baseline": ["--config", cfg, "--data", data, "--variant", "naive1"],
+            "ablate": ["--config", cfg, "--data", data, "--variant", "dual_mask"],
+            "report": [str(root / "ablate" / "ablation_results.csv")],
+        }
+        for command, argv in argvs.items():
+            assert dispatch([command, "--out", str(root / command)] + argv) == 0, command
+        return {command: (root / command, [a for a in argv if Path(a).is_file()])
+                for command, argv in argvs.items()}
+
+    @pytest.mark.parametrize("command", ["synth", "ingest", "train", "gridsearch", "predict",
+                                         "evaluate", "baseline", "ablate", "report"])
+    def test_manifest_hashes_every_file_read(self, runs, command):
+        out, given = runs[command]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest) == MANIFEST_KEYS
+        assert manifest["command"] == command
+        assert manifest["inputs"] == {p: sha256(p) for p in given}
+        config = [p for p in given if p.endswith(".cfg")]
+        assert manifest["config_path"] == (config[0] if config else None)
+        assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
+        assert isinstance(manifest["seed"], int)
+
+    def test_scoring_records_checkpoint_seed(self, workspace, runs, tmp_path):
+        checkpoint = runs["train"][0] / "checkpoint.json"
+        assert dispatch(["evaluate", "--seed", "99", "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path)]) == 0
+        seed = json.loads(checkpoint.read_text())["seed"]
+        for out in (runs["evaluate"][0], tmp_path):
+            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+
+
+class TestCheckpointMarket:
+    @pytest.fixture(scope="class")
+    def checkpoints(self, workspace):
+        """One DE-trained checkpoint saved three ways: as trained, with the
+        market rewritten to AT (gate closure offset 0), and without market."""
+        out = workspace / "market_model"
+        assert dispatch(["train", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(out)]) == 0
+        payload = json.loads((out / "checkpoint.json").read_text())
+        assert payload["extra"]["market"] == {"index": 1, "delta_c_minutes": 30}
+        payload["extra"]["market"] = {"index": 1, "delta_c_minutes": 0}
+        (out / "at.json").write_text(json.dumps(payload))
+        del payload["extra"]["market"]
+        (out / "no_market.json").write_text(json.dumps(payload))
+        return out
+
+    def evaluate(self, workspace, checkpoint, out, *flags):
+        return dispatch(["evaluate", "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(out), *flags])
+
+    def test_no_market_falls_back_to_flags(self, workspace, checkpoints, tmp_path):
+        assert self.evaluate(workspace, checkpoints / "at.json", tmp_path / "recorded") == 0
+        assert self.evaluate(workspace, checkpoints / "no_market.json", tmp_path / "flag",
+                             "--market", "AT") == 0
+        assert self.evaluate(workspace, checkpoints / "checkpoint.json", tmp_path / "de") == 0
+        at = (tmp_path / "recorded" / "predictions.csv").read_bytes()
+        assert (tmp_path / "flag" / "predictions.csv").read_bytes() == at
+        assert (tmp_path / "de" / "predictions.csv").read_bytes() != at
+
+    @pytest.mark.parametrize("flags", [["--market", "AT"], ["--index", "2"]])
+    def test_flags_contradicting_recorded_market(self, workspace, checkpoints, tmp_path, flags):
+        assert self.evaluate(workspace, checkpoints / "checkpoint.json", tmp_path / "o", *flags) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
         assert dispatch(["train", "--nope"]) == 1
@@ -176,6 +318,14 @@ class TestExitCodes:
         assert dispatch(["train", "--config", str(cfg),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--out", str(tmp_path / "o")]) == 3
+
+    def test_invalid_log_level_is_usage_error(self, workspace, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ORDERFUSION_LOG", "verbose")
+        results = tmp_path / "results.csv"
+        results.write_text("model,index,aql\nm,1,1.0\n")
+        assert dispatch(["report", "--out", str(tmp_path / "o"), str(results)]) == 1
+        assert "error|info|debug" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_unknown_ablation_variant(self, workspace, tmp_path):
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),

@@ -468,12 +468,13 @@ class TestCheckpoint:
         lab = RobustScaler(np.array([10.0]), np.array([2.5]), 100)
         path = tmp_path / "model.json"
         save_checkpoint(path, config, params, feat, lab)
-        config2, params2, feat2, lab2 = load_checkpoint(path)
+        config2, params2, feat2, lab2, extra = load_checkpoint(path)
         assert config2 == config
         for name in params.names:
             np.testing.assert_array_equal(params[name].value.data, params2[name].value.data)
         np.testing.assert_array_equal(feat2.medians, feat.medians)
         assert lab2.n_fit == 100
+        assert extra == {}
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.json"
