@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import MetricReport, aql, evaluate_forecasts
-from .market import RobustScaler, Sample, TradeRecord
+from .market import RobustScaler, Sample, Trades, delivery_slices, window_vwap
 from .model import ModelParams, QUANTILES_DEFAULT
 from .training import (
     DivergenceError,
@@ -138,30 +138,24 @@ def naive_probabilistic(residuals: ResidualQuantiles, point: float, hour: int) -
 # ---------------------------------------------------------------------------
 
 
-def feature_vwap15(trades: list[TradeRecord], forecast_time: datetime) -> float | None:
+def feature_vwap15(trades: Trades, forecast_time: datetime) -> float | None:
     """Pooled VWAP over the 15 minutes before the forecast time.
 
-    Falls back to the last traded price when that window is empty; None
-    when the delivery has no prior trades at all.
+    ``trades`` is one delivery's trades in transaction-time order. Falls
+    back to the last traded price when that window is empty; None when the
+    delivery has no prior trades at all.
     """
-    start = forecast_time - timedelta(minutes=15)
-    num, den = [], []
-    for t in trades:
-        if start <= t.transaction_time < forecast_time:
-            num.append(t.price * t.volume)
-            den.append(t.volume)
-    if den:
-        return math.fsum(num) / math.fsum(den)
-    return feature_last_price(trades, forecast_time)
+    vwap = window_vwap(trades, forecast_time - timedelta(minutes=15), forecast_time)
+    return feature_last_price(trades, forecast_time) if vwap is None else vwap
 
 
-def feature_last_price(trades: list[TradeRecord], forecast_time: datetime) -> float | None:
-    """Price of the latest trade before the forecast time; None when empty."""
-    best = None
-    for t in trades:
-        if t.transaction_time < forecast_time and (best is None or t.transaction_time > best.transaction_time):
-            best = t
-    return None if best is None else best.price
+def feature_last_price(trades: Trades, forecast_time: datetime) -> float | None:
+    """Price of the latest trade before the forecast time, the first in
+    input order among equal times; None when there is none."""
+    n = np.searchsorted(trades.time, Trades.to_us(forecast_time))
+    if n == 0:
+        return None
+    return float(trades.price[np.searchsorted(trades.time, trades.time[n - 1])])
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +348,7 @@ def naive_baseline(
 
 def feature_baseline(
     name: str,
-    trades: list[TradeRecord],
+    trades: Trades,
     train: list[Sample],
     val: list[Sample],
     test: list[Sample],
@@ -372,14 +366,13 @@ def feature_baseline(
     no rows when the training or test split yields no feature.
     """
     feature_fn = feature_vwap15 if name == "vwap15" else feature_last_price
-    by_delivery: dict[datetime, list[TradeRecord]] = {}
-    for t in trades:
-        by_delivery.setdefault(t.delivery_start, []).append(t)
+    deliveries, parts = delivery_slices(trades)
 
     def feature_matrix(group):
         feats, targets = [], []
         for s in group:
-            value = feature_fn(by_delivery[s.delivery_start], s.forecast_time)
+            part = parts[np.searchsorted(deliveries, Trades.to_us(s.delivery_start))]
+            value = feature_fn(part, s.forecast_time)
             if value is not None:
                 feats.append(value)
                 targets.append(s.label)

@@ -117,8 +117,18 @@ def _get(cfg: dict, key: str, cast, default):
         raise DataError(f"config key {key}={cfg[key]!r}: {exc}") from exc
 
 
+def _from_config(build, *args, **kwargs):
+    """``build(*args, **kwargs)`` on values read from a config file; a value
+    it rejects is a data error, with the message that names its field."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise DataError(f"bad config value: {exc}") from exc
+
+
 def model_config_from(cfg: dict, seed: int) -> ModelConfig:
-    return ModelConfig(
+    return _from_config(
+        ModelConfig,
         hidden_dim=_get(cfg, "hidden_dim", int, 8),
         interaction_degree=_get(cfg, "interaction_degree", int, 2),
         cutoff_exponent=_get(cfg, "cutoff_exponent", int, 4),
@@ -135,7 +145,8 @@ def model_config_from(cfg: dict, seed: int) -> ModelConfig:
 
 
 def train_config_from(cfg: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
+    return _from_config(
+        TrainConfig,
         epochs=_get(cfg, "epochs", int, 50),
         batch_size=_get(cfg, "batch_size", int, 512),
         lr0=_get(cfg, "lr0", float, 7e-4),
@@ -160,7 +171,7 @@ def synth_config_from(cfg: dict, seed: int) -> SynthConfig:
             kw[key] = _get(cfg, key, cast, None)
     if "start" in cfg:
         kw["start"] = parse_timestamp(cfg["start"])
-    return SynthConfig(**kw)
+    return _from_config(SynthConfig, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +235,7 @@ def _write_csv(path, header, rows):
 def _market_config(args, cfg: dict) -> MarketConfig:
     market = args.market or cfg.get("market", "DE")
     index = args.index or _get(cfg, "index", int, 1)
-    return MarketConfig.for_market(market, int(index))
+    return _from_config(MarketConfig.for_market, market, index)
 
 
 def _load_samples(data_path, market_cfg: MarketConfig):
@@ -287,8 +298,7 @@ def _result_row(model, fold, index, report, best_of_pair=""):
 
 def cmd_synth(run: Run):
     synth_cfg = synth_config_from(run.cfg, run.seed)
-    market = run.args.market or run.cfg.get("market", "DE")
-    delta_c = MarketConfig.for_market(market, 1).delta_c_minutes
+    delta_c = _market_config(run.args, run.cfg).delta_c_minutes
     trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
     return [trades_path, labels_path]
@@ -561,8 +571,8 @@ def dispatch(argv) -> int:
         level = os.environ.get("ORDERFUSION_LOG", "info")
         if level.lower() not in LOG_LEVELS:
             raise UsageError(f"ORDERFUSION_LOG={level!r}: expected error|info|debug")
-        logging.basicConfig(level=LOG_LEVELS[level.lower()],
-                            format="%(levelname)s %(name)s: %(message)s")
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        log.setLevel(LOG_LEVELS[level.lower()])
         args = build_parser().parse_args(argv)
         started = time.time()
         given = vars(args)

@@ -188,12 +188,9 @@ def evaluate_forecasts(y: np.ndarray, forecasts: np.ndarray, quantiles) -> Metri
     )
 
 
-def write_metric_report(path, report: MetricReport, extra: dict | None = None) -> None:
-    payload = report.to_dict()
-    if extra:
-        payload.update(extra)
+def write_metric_report(path, report: MetricReport) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

@@ -3,42 +3,33 @@
 The trade CSV contract: header ``delivery_start,side,price,volume,
 transaction_time``, ISO-8601 UTC timestamps (``2024-07-23T18:00:00Z``),
 side ``+`` (buy) or ``-`` (sell), ``.`` decimal point, UTF-8, LF endings.
+In memory, trades are one ``Trades`` column table.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from array import array
+from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
-from enum import Enum
 
 import numpy as np
 
 __all__ = [
-    "Side",
-    "TradeRecord",
-    "MarketConfig",
-    "Sample",
-    "RobustScaler",
-    "IngestReport",
-    "ParseError",
-    "NoLabelError",
-    "parse_trades",
-    "write_trades",
-    "parse_timestamp",
-    "format_timestamp",
-    "compute_index_label",
-    "build_sample",
-    "build_dataset",
-    "fit_scaler",
-    "apply_scaler",
+    "Trades", "MarketConfig", "Sample", "RobustScaler", "IngestReport", "ParseError",
+    "NoLabelError", "parse_trades", "write_trades", "parse_timestamp", "format_timestamp",
+    "delivery_slices", "window_vwap", "compute_index_label",
+    "build_sample", "build_dataset", "fit_scaler", "apply_scaler",
 ]
 
 TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
 
 # gate closure offsets by market area, minutes before delivery
 DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_US = timedelta(microseconds=1)
 
 
 class ParseError(ValueError):
@@ -49,18 +40,36 @@ class NoLabelError(ValueError):
     """No trade fell inside a delivery's index window."""
 
 
-class Side(Enum):
-    BUY = "+"
-    SELL = "-"
+@dataclass(frozen=True, eq=False)
+class Trades:
+    """Trades as columns, one row per trade. Times are int64 microseconds
+    since the Unix epoch (UTC); ``side`` is +1 for a buy, -1 for a sell."""
 
+    delivery: np.ndarray    # int64
+    time: np.ndarray        # int64, transaction time
+    side: np.ndarray        # int8
+    price: np.ndarray       # float64
+    volume: np.ndarray      # float64
 
-@dataclass(frozen=True)
-class TradeRecord:
-    delivery_start: datetime
-    side: Side
-    price: float
-    volume: float
-    transaction_time: datetime
+    def __len__(self) -> int:
+        return len(self.time)
+
+    def __getitem__(self, rows) -> "Trades":
+        """The rows a slice, boolean mask or index array selects."""
+        return Trades(*(getattr(self, f.name)[rows] for f in fields(self)))
+
+    @classmethod
+    def concat(cls, parts: list["Trades"]) -> "Trades":
+        return cls(*(np.concatenate([getattr(p, f.name) for p in parts]) for f in fields(cls)))
+
+    @staticmethod
+    def to_us(dt: datetime) -> int:
+        """A timezone-aware datetime in the unit of the time columns."""
+        return (dt - _EPOCH) // _US
+
+    @staticmethod
+    def from_us(us: int) -> datetime:
+        return _EPOCH + int(us) * _US
 
 
 @dataclass(frozen=True)
@@ -112,13 +121,7 @@ class IngestReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "n_trades": self.n_trades,
-            "n_deliveries": self.n_deliveries,
-            "n_samples": self.n_samples,
-            "n_dropped_empty_window": self.n_dropped_empty_window,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +144,16 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def parse_trades(path) -> list[TradeRecord]:
-    """Read a trade CSV, rejecting malformed rows with their line number."""
-    records: list[TradeRecord] = []
+def parse_trades(path) -> Trades:
+    """Read a trade CSV in file order, rejecting malformed rows with their
+    line number."""
+    columns = (array("q"), array("q"), array("b"), array("d"), array("d"))
+    deliveries, times, sides, prices, volumes = columns
+    delivery_us: dict[str, int] = {}    # each distinct delivery text, parsed once
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
+        header = next(reader, None)
+        if header is None:
             raise ParseError("line 1: empty file, expected header")
         if header != TRADE_HEADER:
             raise ParseError(f"line 1: expected header {','.join(TRADE_HEADER)}, got {','.join(header)}")
@@ -158,15 +163,16 @@ def parse_trades(path) -> list[TradeRecord]:
             if len(row) != 5:
                 raise ParseError(f"line {lineno}: expected 5 columns, got {len(row)}")
             try:
-                delivery = parse_timestamp(row[0])
-                transaction = parse_timestamp(row[4])
+                delivery = delivery_us.get(row[0])
+                if delivery is None:
+                    delivery = delivery_us[row[0]] = Trades.to_us(parse_timestamp(row[0]))
+                transaction = Trades.to_us(parse_timestamp(row[4]))
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad timestamp ({exc})") from exc
             if row[1] not in ("+", "-"):
                 raise ParseError(f"line {lineno}: side must be '+' or '-', got {row[1]!r}")
             try:
-                price = float(row[2])
-                volume = float(row[3])
+                price, volume = float(row[2]), float(row[3])
             except ValueError as exc:
                 raise ParseError(f"line {lineno}: bad numeric field ({exc})") from exc
             if not math.isfinite(price):
@@ -175,23 +181,26 @@ def parse_trades(path) -> list[TradeRecord]:
                 raise ParseError(f"line {lineno}: volume must be > 0, got {row[3]}")
             if not transaction < delivery:
                 raise ParseError(f"line {lineno}: transaction_time must precede delivery_start")
-            records.append(TradeRecord(delivery, Side(row[1]), price, volume, transaction))
-    return records
+            deliveries.append(delivery)
+            times.append(transaction)
+            sides.append(1 if row[1] == "+" else -1)
+            prices.append(price)
+            volumes.append(volume)
+    return Trades(*(np.array(c) for c in columns))
 
 
-def write_trades(path, records: list[TradeRecord]) -> None:
+def write_trades(path, trades: Trades) -> None:
     """Write trades in the ingest CSV contract; floats round-trip exactly."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRADE_HEADER)
-        for r in records:
-            writer.writerow([
-                format_timestamp(r.delivery_start),
-                r.side.value,
-                repr(r.price),
-                repr(r.volume),
-                format_timestamp(r.transaction_time),
-            ])
+        keys, delivery_index = np.unique(trades.delivery, return_inverse=True)
+        delivery_text = [format_timestamp(Trades.from_us(k)) for k in keys.tolist()]
+        for i, side, price, volume, time in zip(
+                delivery_index.tolist(), trades.side.tolist(), trades.price.tolist(),
+                trades.volume.tolist(), trades.time.tolist()):
+            writer.writerow([delivery_text[i], "+" if side > 0 else "-",
+                             repr(price), repr(volume), format_timestamp(Trades.from_us(time))])
 
 
 # ---------------------------------------------------------------------------
@@ -199,76 +208,68 @@ def write_trades(path, records: list[TradeRecord]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def compute_index_label(trades: list[TradeRecord], delivery: datetime, cfg: MarketConfig) -> float:
-    """Volume-weighted average price over the delivery's index window.
+def delivery_slices(trades: Trades) -> tuple[np.ndarray, list[Trades]]:
+    """The distinct delivery times (µs, ascending) and each one's trades in
+    transaction-time order, equal times in input order (``lexsort`` is stable)."""
+    ordered = trades[np.lexsort((trades.time, trades.delivery))]
+    keys, first = np.unique(ordered.delivery, return_index=True)
+    edges = np.append(first, len(ordered)).tolist()
+    return keys, [ordered[a:b] for a, b in zip(edges, edges[1:])]
 
-    The window runs from the forecast time to delivery minus the gate
-    closure offset, inclusive at the start and exclusive at the end. Both
-    sides pool into one VWAP. Summation uses ``math.fsum``, so the result
-    is independent of trade order.
-    """
-    start = delivery - timedelta(minutes=cfg.lead_minutes)
-    end = delivery - timedelta(minutes=cfg.delta_c_minutes)
-    num_terms = []
-    den_terms = []
-    for t in trades:
-        if t.delivery_start == delivery and start <= t.transaction_time < end:
-            num_terms.append(t.price * t.volume)
-            den_terms.append(t.volume)
-    if not den_terms:
+
+def window_vwap(trades: Trades, start: datetime, end: datetime) -> float | None:
+    """Pooled volume-weighted average price of the trades with ``start <=
+    transaction time < end``, None when there are none. ``trades`` is one
+    delivery's trades in transaction-time order, as ``delivery_slices``
+    gives them; ``math.fsum`` makes the result independent of their order."""
+    lo, hi = np.searchsorted(trades.time, [Trades.to_us(start), Trades.to_us(end)])
+    if lo == hi:
+        return None
+    price, volume = trades.price[lo:hi], trades.volume[lo:hi]
+    return math.fsum((price * volume).tolist()) / math.fsum(volume.tolist())
+
+
+def compute_index_label(trades: Trades, delivery: datetime, cfg: MarketConfig) -> float:
+    """VWAP of one delivery's time-ordered trades, both sides pooled, over
+    its index window: from the forecast time (inclusive) to delivery minus
+    the gate closure offset (exclusive)."""
+    label = window_vwap(trades, delivery - timedelta(minutes=cfg.lead_minutes),
+                        delivery - timedelta(minutes=cfg.delta_c_minutes))
+    if label is None:
         raise NoLabelError(f"no trades in the index window for delivery {format_timestamp(delivery)}")
-    return math.fsum(num_terms) / math.fsum(den_terms)
+    return label
 
 
-def build_sample(trades: list[TradeRecord], delivery: datetime, cfg: MarketConfig) -> Sample:
-    """Assemble one delivery's paired sequences and label.
+def build_sample(trades: Trades, delivery: datetime, cfg: MarketConfig) -> Sample:
+    """Assemble one delivery's paired sequences and label from its trades
+    in transaction-time order.
 
     Feature rows take every trade strictly before the forecast time, as
-    (price, volume, minutes-to-delivery), time-ascending per side.
+    (price, volume, minutes-to-delivery), per side in that order.
     """
-    forecast_time = delivery - timedelta(minutes=cfg.lead_minutes)
-    per_side: dict[Side, list[tuple[datetime, float, float, float]]] = {Side.BUY: [], Side.SELL: []}
-    for t in trades:
-        if t.delivery_start != delivery or not t.transaction_time < forecast_time:
-            continue
-        minutes_to_delivery = (delivery - t.transaction_time).total_seconds() / 60.0
-        per_side[t.side].append((t.transaction_time, t.price, t.volume, minutes_to_delivery))
-
-    def to_matrix(rows):
-        rows.sort(key=lambda r: r[0])
-        if not rows:
-            return np.zeros((0, 3))
-        return np.array([[p, v, m] for _, p, v, m in rows])
-
     label = compute_index_label(trades, delivery, cfg)
-    return Sample(
-        delivery_start=delivery,
-        buy_matrix=to_matrix(per_side[Side.BUY]),
-        sell_matrix=to_matrix(per_side[Side.SELL]),
-        label=label,
-        forecast_time=forecast_time,
-    )
+    forecast_time = delivery - timedelta(minutes=cfg.lead_minutes)
+    before = trades[:np.searchsorted(trades.time, Trades.to_us(forecast_time))]
+    minutes_to_delivery = (Trades.to_us(delivery) - before.time) / 1e6 / 60.0
+    rows = np.column_stack([before.price, before.volume, minutes_to_delivery])
+    return Sample(delivery_start=delivery, buy_matrix=rows[before.side > 0],
+                  sell_matrix=rows[before.side < 0], label=label, forecast_time=forecast_time)
 
 
-def build_dataset(trades: list[TradeRecord], cfg: MarketConfig) -> tuple[list[Sample], IngestReport]:
+def build_dataset(trades: Trades, cfg: MarketConfig) -> tuple[list[Sample], IngestReport]:
     """One sample per distinct delivery time, in ascending ``delivery_start``
     order whatever the order of ``trades``; empty-window deliveries are
     dropped and counted."""
-    report = IngestReport(n_trades=len(trades))
-    by_delivery: dict[datetime, list[TradeRecord]] = {}
-    for t in trades:
-        by_delivery.setdefault(t.delivery_start, []).append(t)
-    report.n_deliveries = len(by_delivery)
+    deliveries, parts = delivery_slices(trades)
+    report = IngestReport(n_trades=len(trades), n_deliveries=len(deliveries), notes=[
+        "feature baselines available: vwap15, last_price; no exhaustive feature set in this build"])
     samples: list[Sample] = []
-    for delivery in sorted(by_delivery):
+    for delivery, part in zip(deliveries.tolist(), parts):
         try:
-            samples.append(build_sample(by_delivery[delivery], delivery, cfg))
+            samples.append(build_sample(part, Trades.from_us(delivery), cfg))
         except NoLabelError:
             report.n_dropped_empty_window += 1
     report.n_samples = len(samples)
-    report.notes.append(
-        "feature baselines available: vwap15, last_price; no exhaustive feature set in this build"
-    )
     return samples, report
 
 
@@ -302,11 +303,7 @@ class RobustScaler:
         return np.asarray(x, dtype=np.float64) * self.iqrs + self.medians
 
     def to_dict(self) -> dict:
-        return {
-            "medians": self.medians.tolist(),
-            "iqrs": self.iqrs.tolist(),
-            "n_fit": self.n_fit,
-        }
+        return {"medians": self.medians.tolist(), "iqrs": self.iqrs.tolist(), "n_fit": self.n_fit}
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobustScaler":

@@ -25,8 +25,7 @@ import numpy as np
 from .market import (
     MarketConfig,
     NoLabelError,
-    Side,
-    TradeRecord,
+    Trades,
     compute_index_label,
     format_timestamp,
     write_trades,
@@ -100,7 +99,8 @@ def simulate_delivery(
     rng: np.random.Generator,
     collect_mid: bool = False,
 ):
-    """Trades for one delivery hour; optionally also (side, price, mid) rows."""
+    """One delivery hour's trades in transaction-time order; optionally also
+    (side, price, mid) rows."""
     hour = delivery.hour
     per_min_vol = cfg.vol_per_hour / math.sqrt(60.0) * _hour_vol_scale(cfg, hour)
     session_start = delivery - timedelta(minutes=cfg.session_minutes)
@@ -114,58 +114,57 @@ def simulate_delivery(
             t += rng.exponential(1.0 / cfg.arrival_rate_per_min)
         return out
 
-    events = [(t, Side.BUY) for t in arrivals()] + [(t, Side.SELL) for t in arrivals()]
+    events = [(t, 1) for t in arrivals()] + [(t, -1) for t in arrivals()]
 
     # downward jumps inside the final hour of the session
     n_jumps = rng.poisson(cfg.jump_intensity_per_hour)
     jump_window_start = cfg.session_minutes - 60.0
     for _ in range(n_jumps):
         t = rng.uniform(max(0.0, jump_window_start), cfg.session_minutes)
-        events.append((t, None))  # None marks a jump event
-    events.sort(key=lambda e: (e[0], e[1].value if e[1] is not None else ""))
+        events.append((t, 0))  # side 0 marks a jump event
+    events.sort(key=lambda e: (e[0], e[1] != 0, -e[1]))  # equal times: jump, buy, sell
 
-    trades: list[TradeRecord] = []
+    times, sides, prices, volumes = [], [], [], []
     diagnostics = []
     mid = anchor_level
     cursor = 0.0
-    last_price = {Side.BUY: None, Side.SELL: None}
+    last_price = {1: None, -1: None}
     for t, side in events:
         dt = t - cursor
         cursor = t
         if dt > 0:
             mid += rng.normal(0.0, per_min_vol * math.sqrt(dt))
-        if side is None:
+        if side == 0:
             mid -= rng.exponential(cfg.jump_size_mean)
             continue
         noise = abs(rng.normal(0.0, cfg.half_spread))
-        quote = mid + noise if side is Side.BUY else mid - noise
-        other = last_price[Side.SELL if side is Side.BUY else Side.BUY]
+        quote = mid + side * noise
+        other = last_price[-side]
         price = quote if other is None else quote + cfg.coupling * (other - quote)
         last_price[side] = price
-        volume = float(rng.lognormal(cfg.volume_lognorm_mu, cfg.volume_lognorm_sigma))
-        trades.append(TradeRecord(
-            delivery_start=delivery,
-            side=side,
-            price=float(price),
-            volume=volume,
-            transaction_time=session_start + timedelta(minutes=float(t)),
-        ))
+        times.append(Trades.to_us(session_start + timedelta(minutes=float(t))))
+        sides.append(side)
+        prices.append(float(price))
+        volumes.append(float(rng.lognormal(cfg.volume_lognorm_mu, cfg.volume_lognorm_sigma)))
         if collect_mid:
             diagnostics.append((side, float(price), float(mid)))
-    return (trades, diagnostics) if collect_mid else (trades, None)
+    trades = Trades(np.full(len(times), Trades.to_us(delivery), dtype=np.int64),
+                    np.array(times, dtype=np.int64), np.array(sides, dtype=np.int8),
+                    np.array(prices, dtype=np.float64), np.array(volumes, dtype=np.float64))
+    return trades, (diagnostics if collect_mid else None)
 
 
 def gen_market(
     cfg: SynthConfig,
     delta_c_minutes: int = 30,
     indices: tuple = (1, 2, 3),
-) -> tuple[list[TradeRecord], list[LabelRow], int]:
+) -> tuple[Trades, list[LabelRow], int]:
     """Simulate the whole horizon; labels come from the real index labeler.
 
     Returns (trades, label rows, n_label_windows_skipped). Label rows cover
     every requested index for every delivery whose window holds a trade.
     """
-    trades: list[TradeRecord] = []
+    parts: list[Trades] = []
     labels: list[LabelRow] = []
     skipped = 0
     for day in range(cfg.n_days):
@@ -178,7 +177,7 @@ def gen_market(
             offset = rng.normal(0.0, cfg.offset_sigma)
             delivery = day_start + timedelta(hours=hour)
             day_trades, _ = simulate_delivery(cfg, delivery, cfg.base_price + anchor + offset, rng)
-            trades.extend(day_trades)
+            parts.append(day_trades)
             for x in indices:
                 market_cfg = MarketConfig(index_x=x, delta_c_minutes=delta_c_minutes)
                 try:
@@ -187,7 +186,7 @@ def gen_market(
                     skipped += 1
                     continue
                 labels.append(LabelRow(delivery_start=delivery, index_x=x, label=label))
-    return trades, labels, skipped
+    return Trades.concat(parts), labels, skipped
 
 
 def write_labels(path, labels: list[LabelRow]) -> None:

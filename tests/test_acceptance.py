@@ -19,8 +19,7 @@ from orderfusion.baselines import ResidualQuantiles, naive_point, naive_probabil
 from orderfusion.evaluation import aiw, aqcr, evaluate_forecasts, pointwise, symmetric_pairs
 from orderfusion.market import (
     MarketConfig,
-    Side,
-    TradeRecord,
+    Trades,
     apply_scaler,
     build_dataset,
     compute_index_label,
@@ -276,23 +275,27 @@ def test_criterion_4_oracle_equivalence():
     cfg = MarketConfig(index_x=1, delta_c_minutes=30)
     label_worst = 0.0
     for _ in range(100):
-        trades = [
-            TradeRecord(
-                delivery_start=delivery,
-                side=Side.BUY if rng.random() < 0.5 else Side.SELL,
-                price=float(rng.normal(80, 25)),
-                volume=float(rng.lognormal(0, 1)),
-                transaction_time=delivery - timedelta(minutes=float(rng.uniform(1, 200))),
+        trades = [  # (side, price, volume, transaction_time)
+            (
+                1 if rng.random() < 0.5 else -1,
+                float(rng.normal(80, 25)),
+                float(rng.lognormal(0, 1)),
+                delivery - timedelta(minutes=float(rng.uniform(1, 200))),
             )
             for _ in range(int(rng.integers(20, 200)))
         ]
         start = delivery - timedelta(minutes=60)
         end = delivery - timedelta(minutes=30)
-        picked = [t for t in trades if start <= t.transaction_time < end]
+        picked = [t for t in trades if start <= t[3] < end]
         if not picked:
             continue
-        oracle = math.fsum(t.price * t.volume for t in picked) / math.fsum(t.volume for t in picked)
-        label_worst = max(label_worst, abs(compute_index_label(trades, delivery, cfg) - oracle))
+        oracle = math.fsum(t[1] * t[2] for t in picked) / math.fsum(t[2] for t in picked)
+        rows = sorted(trades, key=lambda t: t[3])
+        table = Trades(np.full(len(rows), Trades.to_us(delivery), dtype=np.int64),
+                       np.array([Trades.to_us(t[3]) for t in rows], dtype=np.int64),
+                       np.array([t[0] for t in rows], dtype=np.int8),
+                       np.array([t[1] for t in rows]), np.array([t[2] for t in rows]))
+        label_worst = max(label_worst, abs(compute_index_label(table, delivery, cfg) - oracle))
 
     _report(
         "C4 oracle equivalence",

@@ -15,7 +15,7 @@ from orderfusion.baselines import (
     naive_point,
     naive_probabilistic,
 )
-from orderfusion.market import Side, TradeRecord
+from orderfusion.market import Trades
 from orderfusion.training import aql
 
 UTC = timezone.utc
@@ -104,15 +104,24 @@ class TestNaiveProbabilistic:
             np.testing.assert_array_equal(out, outputs[0])
 
 
-def make_trade(delivery, minutes_before_forecast, price, volume=1.0, side=Side.BUY, lead=60):
+BUY, SELL = 1, -1
+
+
+def make_trade(delivery, minutes_before_forecast, price, volume=1.0, side=BUY, lead=60):
+    """(delivery, side, price, volume, transaction_time)"""
     t_f = delivery - timedelta(minutes=lead)
-    return TradeRecord(
-        delivery_start=delivery,
-        side=side,
-        price=price,
-        volume=volume,
-        transaction_time=t_f - timedelta(minutes=minutes_before_forecast),
-    )
+    return (delivery, side, price, volume, t_f - timedelta(minutes=minutes_before_forecast))
+
+
+def table(rows):
+    """A Trades table of ``make_trade`` tuples in transaction-time order,
+    equal times in list order."""
+    rows = sorted(rows, key=lambda r: r[4])
+    return Trades(np.array([Trades.to_us(r[0]) for r in rows], dtype=np.int64),
+                  np.array([Trades.to_us(r[4]) for r in rows], dtype=np.int64),
+                  np.array([r[1] for r in rows], dtype=np.int8),
+                  np.array([r[2] for r in rows], dtype=np.float64),
+                  np.array([r[3] for r in rows], dtype=np.float64))
 
 
 class TestFeatures:
@@ -121,14 +130,14 @@ class TestFeatures:
 
     def test_vwap15_single_trade(self):
         trades = [make_trade(self.DELIVERY, 5.0, 30.0, 2.0)]
-        assert feature_vwap15(trades, self.T_F) == 30.0
+        assert feature_vwap15(table(trades), self.T_F) == 30.0
 
     def test_vwap15_weighted(self):
         trades = [
             make_trade(self.DELIVERY, 5.0, 10.0, 1.0),
-            make_trade(self.DELIVERY, 10.0, 20.0, 3.0, side=Side.SELL),
+            make_trade(self.DELIVERY, 10.0, 20.0, 3.0, side=SELL),
         ]
-        assert feature_vwap15(trades, self.T_F) == pytest.approx(17.5)
+        assert feature_vwap15(table(trades), self.T_F) == pytest.approx(17.5)
 
     def test_vwap15_matches_filter_oracle(self):
         rng = np.random.default_rng(13)
@@ -138,21 +147,21 @@ class TestFeatures:
             for _ in range(300)
         ]
         start = self.T_F - timedelta(minutes=15)
-        picked = [t for t in trades if start <= t.transaction_time < self.T_F]
-        oracle = math.fsum(t.price * t.volume for t in picked) / math.fsum(t.volume for t in picked)
-        assert feature_vwap15(trades, self.T_F) == pytest.approx(oracle, abs=1e-12)
+        picked = [t for t in trades if start <= t[4] < self.T_F]
+        oracle = math.fsum(t[2] * t[3] for t in picked) / math.fsum(t[3] for t in picked)
+        assert feature_vwap15(table(trades), self.T_F) == pytest.approx(oracle, abs=1e-12)
 
     def test_vwap15_falls_back_to_last_price(self):
         trades = [make_trade(self.DELIVERY, 100.0, 77.0)]  # far before the window
-        assert feature_vwap15(trades, self.T_F) == 77.0
+        assert feature_vwap15(table(trades), self.T_F) == 77.0
 
     def test_no_trades_gives_none(self):
-        assert feature_vwap15([], self.T_F) is None
-        assert feature_last_price([], self.T_F) is None
+        assert feature_vwap15(table([]), self.T_F) is None
+        assert feature_last_price(table([]), self.T_F) is None
 
     def test_last_price_picks_latest(self):
         trades = [make_trade(self.DELIVERY, 3.0, 5.0), make_trade(self.DELIVERY, 1.0, 9.0)]
-        assert feature_last_price(trades, self.T_F) == 9.0
+        assert feature_last_price(table(trades), self.T_F) == 9.0
 
     def test_last_price_matches_argmax_oracle(self):
         rng = np.random.default_rng(17)
@@ -161,8 +170,8 @@ class TestFeatures:
             for _ in range(100)
         ]
         rng.shuffle(trades)
-        oracle = max(trades, key=lambda t: t.transaction_time).price
-        assert feature_last_price(trades, self.T_F) == oracle
+        oracle = max(trades, key=lambda t: t[4])[2]
+        assert feature_last_price(table(trades), self.T_F) == oracle
 
     def test_vwap15_agrees_with_index_labeler_on_matching_window(self):
         # lead 30 / gate closure 15 gives a 15-minute label window; pointing
@@ -172,16 +181,16 @@ class TestFeatures:
         rng = np.random.default_rng(19)
         delivery = self.DELIVERY
         cfg = MarketConfig(index_x=1, delta_c_minutes=45)  # window [t-60, t-45)
-        trades = [
-            TradeRecord(
-                delivery_start=delivery,
-                side=Side.BUY if rng.random() < 0.5 else Side.SELL,
-                price=float(rng.normal(60, 15)),
-                volume=float(rng.lognormal(0, 0.7)),
-                transaction_time=delivery - timedelta(minutes=float(rng.uniform(30, 90))),
+        trades = table([
+            (
+                delivery,
+                BUY if rng.random() < 0.5 else SELL,
+                float(rng.normal(60, 15)),
+                float(rng.lognormal(0, 0.7)),
+                delivery - timedelta(minutes=float(rng.uniform(30, 90))),
             )
             for _ in range(200)
-        ]
+        ])
         label = compute_index_label(trades, delivery, cfg)
         feature = feature_vwap15(trades, delivery - timedelta(minutes=45))
         assert feature == label

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -326,6 +327,34 @@ class TestExitCodes:
         assert dispatch(["report", "--out", str(tmp_path / "o"), str(results)]) == 1
         assert "error|info|debug" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_log_level_is_set_on_every_dispatch(self, tmp_path, monkeypatch, caplog):
+        results = tmp_path / "results.csv"
+        results.write_text("model,index,aql\nm,1,1.0\n")
+        try:
+            for i, (level, logged) in enumerate([("error", False), ("info", True), ("error", False)]):
+                monkeypatch.setenv("ORDERFUSION_LOG", level)
+                caplog.clear()
+                assert dispatch(["report", "--out", str(tmp_path / str(i)), str(results)]) == 0
+                assert any("report: aggregated" in r.getMessage() for r in caplog.records) == logged
+        finally:
+            logging.getLogger("orderfusion").setLevel(logging.NOTSET)
+
+    @pytest.mark.parametrize("command, key, value", [
+        ("train", "market", "FR"), ("train", "index", "5"), ("train", "hidden_dim", "0"),
+        ("train", "mask_variant", "bogus"), ("train", "epochs", "0"),
+        ("synth", "n_days", "0"), ("synth", "market", "FR"),
+    ])
+    def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text((RUN_CONFIG if command == "train" else SYNTH_CONFIG) + f"{key} = {value}\n")
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command == "train":
+            argv += ["--data", str(workspace / "data" / "trades.csv")]
+        assert dispatch(argv) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert any(key in message for message in errors), errors
 
     def test_unknown_ablation_variant(self, workspace, tmp_path):
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),

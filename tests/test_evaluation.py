@@ -172,10 +172,9 @@ class TestReportAndFiles:
         y, forecasts = self._forecasts(n=5)
         report = evaluate_forecasts(y, forecasts, QUANTILES)
         report_path = tmp_path / "report.json"
-        write_metric_report(report_path, report, extra={"fold": 0})
+        write_metric_report(report_path, report)
         payload = json.loads(report_path.read_text())
         assert payload["n_samples"] == 5
-        assert payload["fold"] == 0
 
         deliveries = [datetime(2024, 1, 1, h, tzinfo=timezone.utc) for h in range(5)]
         plot_path = tmp_path / "plot.csv"

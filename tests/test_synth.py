@@ -1,9 +1,16 @@
-from datetime import datetime, timedelta, timezone
+import hashlib
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
-from orderfusion.market import MarketConfig, Side, compute_index_label, parse_trades
+from orderfusion.market import (
+    MarketConfig,
+    Trades,
+    compute_index_label,
+    delivery_slices,
+    parse_trades,
+)
 from orderfusion.synth import SynthConfig, gen_market, simulate_delivery, write_market
 
 UTC = timezone.utc
@@ -35,14 +42,14 @@ class TestDegenerate:
         # volume-weighted labels equal the base bit-for-bit
         cfg = quiet_config(base_price=64.0)
         trades, labels, skipped = gen_market(cfg, delta_c_minutes=0)
-        assert trades, "expected some trades"
-        assert all(t.price == 64.0 for t in trades)
+        assert len(trades), "expected some trades"
+        assert (trades.price == 64.0).all()
         assert all(row.label == 64.0 for row in labels)
 
     def test_zero_noise_arbitrary_base(self):
         cfg = quiet_config(base_price=75.3)
         trades, labels, _ = gen_market(cfg, delta_c_minutes=0)
-        assert all(t.price == 75.3 for t in trades)
+        assert (trades.price == 75.3).all()
         assert all(abs(row.label - 75.3) < 1e-10 for row in labels)
 
     def test_same_seed_byte_identical_files(self, tmp_path):
@@ -51,6 +58,14 @@ class TestDegenerate:
         t2, l2, _ = write_market(cfg, tmp_path / "b")
         assert t1.read_bytes() == t2.read_bytes()
         assert l1.read_bytes() == l2.read_bytes()
+
+    def test_golden_files(self, tmp_path):
+        # digests of the files this generator wrote when these tests were
+        # written: a seed must keep writing the same market
+        trades_path, labels_path, _ = write_market(SynthConfig(seed=0, n_days=2), tmp_path)
+        digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest(trades_path) == "6200eea4944f8b61b746721d7115a3d7dd54f900de7ef5cdbb8ffd59c631da42"
+        assert digest(labels_path) == "22cafd93ae07815f2b4d163b907745dc6a9435b657d856e0154e7875706062d8"
 
     def test_different_seeds_differ(self, tmp_path):
         base = dict(n_days=1, arrival_rate_per_min=0.2, session_minutes=180)
@@ -65,15 +80,13 @@ class TestContracts:
         trades_path, labels_path, _ = write_market(cfg, tmp_path)
         trades, _, _ = gen_market(cfg)
         parsed = parse_trades(trades_path)
-        assert parsed == trades
+        for name in ("delivery", "time", "side", "price", "volume"):
+            np.testing.assert_array_equal(getattr(parsed, name), getattr(trades, name))
 
     def test_labels_equal_recomputation_from_trade_file(self, tmp_path):
         cfg = SynthConfig(seed=7, n_days=2, arrival_rate_per_min=0.3, session_minutes=200)
         trades_path, labels_path, _ = write_market(cfg, tmp_path, delta_c_minutes=30)
-        parsed = parse_trades(trades_path)
-        by_delivery = {}
-        for t in parsed:
-            by_delivery.setdefault(t.delivery_start, []).append(t)
+        deliveries, parts = delivery_slices(parse_trades(trades_path))
         with open(labels_path) as fh:
             header = fh.readline().strip()
             assert header == "delivery_start,index_x,label"
@@ -81,19 +94,19 @@ class TestContracts:
                 ts, x, label = line.strip().split(",")
                 delivery = datetime.fromisoformat(ts.replace("Z", "+00:00"))
                 market_cfg = MarketConfig(index_x=int(x), delta_c_minutes=30)
-                recomputed = compute_index_label(by_delivery[delivery], delivery, market_cfg)
+                part = parts[np.searchsorted(deliveries, Trades.to_us(delivery))]
+                recomputed = compute_index_label(part, delivery, market_cfg)
                 assert recomputed == float(label)  # exact, same labeler
 
     def test_transaction_times_inside_session(self):
         cfg = SynthConfig(seed=5, n_days=1, session_minutes=120, arrival_rate_per_min=0.4)
         trades, _, _ = gen_market(cfg)
-        for t in trades:
-            assert t.transaction_time < t.delivery_start
-            assert t.transaction_time >= t.delivery_start - timedelta(minutes=120)
+        assert (trades.time < trades.delivery).all()
+        assert (trades.time >= trades.delivery - 120 * 60 * 10**6).all()
 
     def test_volumes_positive(self):
         trades, _, _ = gen_market(SynthConfig(seed=11, n_days=1, session_minutes=120))
-        assert all(t.volume > 0 for t in trades)
+        assert (trades.volume > 0).all()
 
 
 class TestCoupling:
@@ -108,19 +121,19 @@ class TestCoupling:
         delivery = datetime(2024, 3, 1, 12, tzinfo=UTC)
         while len(raw) < n_target:
             _, diag = simulate_delivery(cfg, delivery, 80.0, rng, collect_mid=True)
-            last = {Side.BUY: None, Side.SELL: None}
+            last = {1: None, -1: None}
             for side, price, mid in diag:
-                other = last[Side.SELL if side is Side.BUY else Side.BUY]
+                other = last[-side]
                 if other is not None:
                     raw.append((side, price - mid, other))
                 last[side] = price - mid
         raw = raw[:n_target]
         mean = {
-            s: np.mean([r for side, r, _ in raw if side is s] or [0.0])
-            for s in (Side.BUY, Side.SELL)
+            s: np.mean([r for side, r, _ in raw if side == s] or [0.0])
+            for s in (1, -1)
         }
         pairs = [
-            (r - mean[side], o - mean[Side.SELL if side is Side.BUY else Side.BUY])
+            (r - mean[side], o - mean[-side])
             for side, r, o in raw
         ]
         return np.array(pairs)
@@ -139,7 +152,7 @@ class TestCoupling:
 class TestStructure:
     def test_hourly_products_cover_all_hours(self):
         trades, labels, _ = gen_market(SynthConfig(seed=17, n_days=1, session_minutes=120))
-        hours = {t.delivery_start.hour for t in trades}
+        hours = {Trades.from_us(d).hour for d in np.unique(trades.delivery)}
         assert hours == set(range(24))
         assert {row.index_x for row in labels} <= {1, 2, 3}
 
