@@ -21,15 +21,8 @@ import numpy as np
 from . import tensor as T
 from .evaluation import MetricReport, aql, evaluate_forecasts
 from .market import RobustScaler, Sample, Trades, delivery_slices, window_vwap
-from .model import ModelParams, QUANTILES_DEFAULT
-from .training import (
-    DivergenceError,
-    OptimizerState,
-    TrainConfig,
-    adam_step,
-    aql_loss,
-    lr_at,
-)
+from .model import ModelParams, QUANTILES_DEFAULT, _glorot
+from .training import DivergenceError, TrainConfig, _fit, aql_loss
 
 __all__ = [
     "NAIVE_VARIANTS",
@@ -222,11 +215,6 @@ class MLPConfig:
     hidden_size: int = 16
     n_layers: int = 2
     dropout: float = 0.1
-    epochs: int = 50
-    batch_size: int = 512
-    lr0: float = 7e-4
-    decay: float = 0.95
-    seed: int = 0
 
 
 _MLP_INIT_STREAM = 505
@@ -237,23 +225,18 @@ class MLPModel:
     """Feed-forward net with a flat multi-quantile head (no hierarchy, so
     predicted quantiles can cross)."""
 
-    def __init__(self, n_features: int, quantiles: tuple, cfg: MLPConfig):
+    def __init__(self, n_features: int, quantiles: tuple, cfg: MLPConfig, seed: int):
         self.n_features = n_features
         self.quantiles = tuple(quantiles)
         self.cfg = cfg
         self.params = ModelParams()
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _MLP_INIT_STREAM]))
-
-        def glorot(fan_in, fan_out):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _MLP_INIT_STREAM]))
         width_in = n_features
         for layer in range(cfg.n_layers):
-            self.params.add(f"layer{layer}.w", glorot(width_in, cfg.hidden_size))
+            self.params.add(f"layer{layer}.w", _glorot(rng, width_in, cfg.hidden_size))
             self.params.add(f"layer{layer}.b", np.zeros((1, cfg.hidden_size)))
             width_in = cfg.hidden_size
-        self.params.add("out.w", glorot(width_in, len(self.quantiles)))
+        self.params.add("out.w", _glorot(rng, width_in, len(self.quantiles)))
         self.params.add("out.b", np.zeros((1, len(self.quantiles))))
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> T.Tensor:
@@ -276,42 +259,35 @@ class MLPModel:
 def mlp_fit(
     features: np.ndarray,
     targets: np.ndarray,
-    quantiles=QUANTILES_DEFAULT,
+    val_features: np.ndarray,
+    val_targets: np.ndarray,
+    train_cfg: TrainConfig,
     cfg: MLPConfig = MLPConfig(),
-    val_features: np.ndarray | None = None,
-    val_targets: np.ndarray | None = None,
+    quantiles=QUANTILES_DEFAULT,
 ) -> MLPModel:
-    """Train the MLP on mean pinball loss with Adam and the staircase
-    schedule; with a validation split, the best epoch's weights win."""
+    """Train the MLP with the forecaster's loop: mean pinball loss, Adam,
+    the staircase schedule and the best validation epoch's weights.
+
+    ``train_cfg.seed`` seeds the initial weights too. Dropout masks draw
+    from each epoch's generator after its shuffle.
+    """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     y = np.asarray(targets, dtype=np.float64).reshape(-1, 1)
-    model = MLPModel(x.shape[1], quantiles, cfg)
-    opt_cfg = TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size, lr0=cfg.lr0,
-                          decay=cfg.decay, seed=cfg.seed)
-    state = OptimizerState.for_params(model.params)
-    n = x.shape[0]
-    best = None
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _MLP_DROP_STREAM, epoch]))
-        order = rng.permutation(n)
-        lr = lr_at(epoch, opt_cfg)
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            model.params.zero_grad()
-            pred = model.forward(x[idx], dropout_rng=rng)
-            loss = aql_loss(pred, T.constant(y[idx]), model.quantiles)
-            if not math.isfinite(loss.item()):
-                raise DivergenceError(f"MLP training diverged at epoch {epoch}")
-            T.backward(loss)
-            adam_step(model.params, state, lr, opt_cfg)
-        if val_features is not None:
-            val_aql = aql(np.asarray(val_targets).reshape(-1), model.predict(val_features), model.quantiles)
-            if best is None or val_aql < best[0]:
-                best = (val_aql, model.params.state_arrays())
-    if best is not None:
-        model.params.load_arrays(best[1])
+    y_val = np.asarray(val_targets).reshape(-1)
+    if x.shape[0] == 0 or y_val.size == 0:
+        raise ValueError("train and validation splits must be non-empty")
+    model = MLPModel(x.shape[1], quantiles, cfg, train_cfg.seed)
+
+    def batch_loss(rows, rng):
+        pred = model.forward(x[rows], dropout_rng=rng)
+        return aql_loss(pred, T.constant(y[rows]), model.quantiles)
+
+    def val_aql():
+        return aql(y_val, model.predict(val_features), model.quantiles)
+
+    _fit(model.params, x.shape[0], batch_loss, val_aql, train_cfg, _MLP_DROP_STREAM)
     return model
 
 
@@ -352,6 +328,7 @@ def feature_baseline(
     train: list[Sample],
     val: list[Sample],
     test: list[Sample],
+    train_cfg: TrainConfig,
     mlp_cfg: MLPConfig,
     quantiles=QUANTILES_DEFAULT,
 ) -> list[tuple[str, MetricReport, str]]:
@@ -359,11 +336,12 @@ def feature_baseline(
 
     Each sample's feature is computed from its delivery's trades before the
     forecast time; samples without one are dropped. Features and targets are
-    robust-scaled on the training split, then LQR and the MLP (validated on
-    ``val``) are fitted. Returns the rows ``(f"{name}_lqr", report, best)``
-    and ``(f"{name}_mlp", report, best)``, ``best`` being "yes" for the
-    learner with the lower test AQL (LQR on a tie) and "no" for the other;
-    no rows when the training or test split yields no feature.
+    robust-scaled on the training split, then LQR and the MLP (trained with
+    ``train_cfg``, validated on ``val``) are fitted. Returns the rows
+    ``(f"{name}_lqr", report, best)`` and ``(f"{name}_mlp", report, best)``,
+    ``best`` being "yes" for the learner with the lower test AQL (LQR on a
+    tie) and "no" for the other; no rows when the training, validation or
+    test split yields no feature.
     """
     feature_fn = feature_vwap15 if name == "vwap15" else feature_last_price
     deliveries, parts = delivery_slices(trades)
@@ -381,7 +359,7 @@ def feature_baseline(
     x_train, y_train = feature_matrix(train)
     x_val, y_val = feature_matrix(val)
     x_test, y_test = feature_matrix(test)
-    if x_train.size == 0 or x_test.size == 0:
+    if x_train.size == 0 or x_val.size == 0 or x_test.size == 0:
         return []
     fscaler = RobustScaler.fit(x_train.reshape(-1, 1))
     lscaler = RobustScaler.fit(y_train.reshape(-1, 1))
@@ -391,8 +369,8 @@ def feature_baseline(
     lqr_models = lqr_fit(xs(x_train), ys(y_train), quantiles)
     lqr_report = evaluate_forecasts(
         y_test, lscaler.inverse(lqr_predict(lqr_models, xs(x_test))), quantiles)
-    mlp_model = mlp_fit(xs(x_train), ys(y_train), quantiles, mlp_cfg,
-                        val_features=xs(x_val), val_targets=ys(y_val))
+    mlp_model = mlp_fit(xs(x_train), ys(y_train), xs(x_val), ys(y_val), train_cfg, mlp_cfg,
+                        quantiles)
     mlp_report = evaluate_forecasts(y_test, lscaler.inverse(mlp_model.predict(xs(x_test))), quantiles)
     lqr_best = lqr_report.aql <= mlp_report.aql
     return [(f"{name}_lqr", lqr_report, "yes" if lqr_best else "no"),

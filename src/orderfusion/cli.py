@@ -333,23 +333,32 @@ def cmd_train(run: Run):
 
 def cmd_gridsearch(run: Run):
     cfg = run.cfg
+    if run.args.budget is not None and run.args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {run.args.budget}")
     base_config = model_config_from(cfg, run.seed)
     train_cfg = train_config_from(cfg, run.seed)
-    _, train_s, val_s, _, _, _ = _prepare_training(run)
-
-    def values(key, default, cast=int):
-        raw = cfg.get(key)
-        if raw is None:
-            return default
-        return [cast(v) for v in raw.replace(",", " ").split()]
-
     max_alpha = int(math.log2(base_config.t_max))
+
+    def values(field, default):
+        """The ``grid_<field>`` candidates, each one checked as that model
+        config field; cutoff exponents above log2(t_max) are dropped."""
+        def parse(raw):
+            out = [int(v) for v in raw.replace(",", " ").split()]
+            if field == "cutoff_exponent":
+                out = [a for a in out if a <= max_alpha]
+            if not out:
+                raise ValueError("no candidate value")
+            for v in out:
+                replace(base_config, **{field: v})
+            return out
+        return _get(cfg, f"grid_{field}", parse, default)
+
     space = {
-        "hidden_dim": values("grid_hidden_dim", [4, 16, 64, 256, 512]),
-        "cutoff_exponent": [a for a in values("grid_cutoff_exponent", list(range(0, 11)))
-                            if a <= max_alpha],
-        "interaction_degree": values("grid_interaction_degree", [1, 2, 4]),
+        "hidden_dim": values("hidden_dim", [4, 16, 64, 256, 512]),
+        "cutoff_exponent": values("cutoff_exponent", list(range(0, min(max_alpha, 10) + 1))),
+        "interaction_degree": values("interaction_degree", [1, 2, 4]),
     }
+    _, train_s, val_s, _, _, _ = _prepare_training(run)
     best, table = grid_search(base_config, train_cfg, space, [(train_s, val_s)],
                               budget=run.args.budget, jobs=run.args.jobs)
     keys = sorted(space)
@@ -382,7 +391,10 @@ def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
 def _score_checkpoint(run: Run):
     """Forecast every delivery in ``--data`` with ``--checkpoint``. The
     manifest records the checkpoint's seed, the one the forecasts come from."""
-    config, params, feat, lab, extra = load_checkpoint(run.args.checkpoint)
+    try:
+        config, params, feat, lab, extra = load_checkpoint(run.args.checkpoint)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{run.args.checkpoint}: unreadable checkpoint: {exc!r}") from exc
     run.seed = config.seed
     _, samples, _ = _load_samples(run.args.data, _checkpoint_market(run, extra.get("market")))
     batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
@@ -422,14 +434,12 @@ def cmd_baseline(run: Run):
     else:
         mlp_cfg = MLPConfig(hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
                             n_layers=_get(cfg, "mlp_n_layers", int, 2),
-                            dropout=_get(cfg, "mlp_dropout", float, 0.1),
-                            epochs=_get(cfg, "epochs", int, 50),
-                            batch_size=_get(cfg, "batch_size", int, 512),
-                            lr0=_get(cfg, "lr0", float, 7e-4),
-                            seed=run.seed)
-        rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw, mlp_cfg)
+                            dropout=_get(cfg, "mlp_dropout", float, 0.1))
+        rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw,
+                                train_config_from(cfg, run.seed), mlp_cfg)
     if not rows:
-        raise DataError(f"{variant}: no test sample had the history or trades the baseline needs")
+        raise DataError(f"{variant}: the training, validation or test split has no sample "
+                        "with the history or trades the baseline needs")
     for model, report, _ in rows:
         log.info("%s: %d of %d test samples forecast, AQL %.4f",
                  model, report.n_samples, len(test_raw), report.aql)

@@ -42,7 +42,6 @@ __all__ = [
     "QUANTILES_DEFAULT",
     "ModelConfig",
     "ModelParams",
-    "QuantileForecast",
     "EncodedBatch",
     "init_params",
     "encode_samples",
@@ -52,7 +51,6 @@ __all__ = [
     "aggregate_and_pool",
     "hierarchical_head",
     "predict_batch",
-    "forward",
     "param_count",
     "save_checkpoint",
     "load_checkpoint",
@@ -196,29 +194,30 @@ def _head_name(tau: float) -> str:
     return f"head.q{int(round(tau * 100)):02d}"
 
 
+def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot-uniform (fan_in, fan_out) weights."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
 def init_params(config: ModelConfig) -> ModelParams:
     """Create all weights, Glorot-uniform from the config seed; biases 0."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM]))
     params = ModelParams()
-
-    def glorot(fan_in, fan_out):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
     dim = config.hidden_dim
     if config.fusion_variant == "fusion":
         for side in ("buy", "sell"):
-            params.add(f"proj.{side}.w", glorot(3, dim))
+            params.add(f"proj.{side}.w", _glorot(rng, 3, dim))
             if config.projection_bias:
                 params.add(f"proj.{side}.b", np.zeros((1, dim)))
         for k in range(1, config.interaction_degree + 1):
             for side in ("buy", "sell"):
-                params.add(f"fuse{k}.{side}.wq", glorot(dim, dim))
-                params.add(f"fuse{k}.{side}.wk", glorot(dim, dim))
-                params.add(f"fuse{k}.{side}.wv", glorot(dim, dim))
+                params.add(f"fuse{k}.{side}.wq", _glorot(rng, dim, dim))
+                params.add(f"fuse{k}.{side}.wk", _glorot(rng, dim, dim))
+                params.add(f"fuse{k}.{side}.wv", _glorot(rng, dim, dim))
     width = config.head_width
     for tau in config.head_quantiles:
-        params.add(f"{_head_name(tau)}.w", glorot(width, 1))
+        params.add(f"{_head_name(tau)}.w", _glorot(rng, width, 1))
         params.add(f"{_head_name(tau)}.b", np.zeros((1, 1)))
     return params
 
@@ -254,16 +253,6 @@ class EncodedBatch:
 
     def __len__(self):
         return self.buy.shape[0]
-
-    def take(self, idx) -> "EncodedBatch":
-        return EncodedBatch(
-            buy=self.buy[idx],
-            sell=self.sell[idx],
-            mask_buy=self.mask_buy[idx],
-            mask_sell=self.mask_sell[idx],
-            labels=self.labels[idx],
-            delivery_starts=[self.delivery_starts[i] for i in np.atleast_1d(idx)],
-        )
 
 
 def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
@@ -494,24 +483,6 @@ def _dead_lead(mask_buy: np.ndarray, mask_sell: np.ndarray) -> int:
     return int(live[0]) if live.size else mask_buy.shape[1] - 1
 
 
-@dataclass
-class QuantileForecast:
-    """Predicted values per quantile level, ascending in the level."""
-
-    quantiles: tuple
-    values: np.ndarray
-
-    def is_monotone(self) -> bool:
-        return bool(np.all(np.diff(self.values) >= 0))
-
-
-def forward(sample: Sample, params: ModelParams, config: ModelConfig) -> QuantileForecast:
-    """Forecast one scaled sample as a one-row batch."""
-    b = encode_samples([sample], config)
-    out = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
-    return QuantileForecast(quantiles=config.head_quantiles, values=out.data[0].copy())
-
-
 # ---------------------------------------------------------------------------
 # checkpointing
 # ---------------------------------------------------------------------------
@@ -550,8 +521,9 @@ def load_checkpoint(path):
     :func:`save_checkpoint` (empty when none was)."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if payload.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a model checkpoint (magic {payload.get('magic')!r})")
+    magic = payload.get("magic") if isinstance(payload, dict) else None
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"not a model checkpoint (magic {magic!r})")
     config = ModelConfig.from_dict(payload["config"])
     params = init_params(config)
     params.load_arrays({

@@ -1,8 +1,9 @@
 """Quantile loss, Adam, the epoch loop, rolling folds, and grid search.
 
 Training runs in scaled label space and is deterministic per seed: per-epoch
-shuffles come from a generator derived from (seed, epoch), and the best
-validation epoch's weights are what the run returns.
+shuffles come from a generator derived from (seed, stream, epoch), and the
+best validation epoch's weights are what the run returns. The forecaster
+and the MLP baseline share one epoch loop, ``_fit``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import tensor as T
 from .evaluation import aql
 from .market import Sample
-from .model import EncodedBatch, ModelConfig, ModelParams, encode_samples, init_params, predict_batch
+from .model import ModelConfig, ModelParams, encode_samples, init_params, predict_batch
 
 __all__ = [
     "TrainConfig",
@@ -27,7 +28,6 @@ __all__ = [
     "OptimizerState",
     "DivergenceError",
     "pinball",
-    "aql",
     "aql_loss",
     "adam_step",
     "lr_at",
@@ -154,9 +154,41 @@ class TrainResult:
         return self.history[self.best_epoch].val_aql
 
 
-def _eval_aql(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -> float:
-    pred = predict_batch(params, config, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
-    return aql(batch.labels, pred.data, config.head_quantiles)
+def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
+         stream: int) -> TrainResult:
+    """Minibatch Adam on ``params`` over ``n`` training rows, ending on the
+    weights of the best validation epoch. ``batch_loss(rows, rng)`` builds the
+    mean loss of those rows, ``rng`` being the epoch's generator after its
+    shuffle; ``val_aql()`` scores the current weights on the validation split.
+    The last partial batch of each epoch is kept."""
+    state = OptimizerState.for_params(params)
+    history: list[EpochStats] = []
+    best_epoch, best_arrays = -1, None
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream, epoch]))
+        order = rng.permutation(n)
+        lr = lr_at(epoch, cfg)
+        total = 0.0
+        for start in range(0, n, cfg.batch_size):
+            rows = order[start:start + cfg.batch_size]
+            params.zero_grad()
+            loss = batch_loss(rows, rng)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise DivergenceError(
+                    f"non-finite training loss at epoch {epoch}, batch starting {start} (lr={lr})")
+            T.backward(loss)
+            adam_step(params, state, lr, cfg)
+            total += value * len(rows)
+
+        val = val_aql()
+        if not math.isfinite(val):
+            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
+        history.append(EpochStats(epoch=epoch, train_aql=total / n, val_aql=val, lr=lr))
+        if best_epoch < 0 or val < history[best_epoch].val_aql:
+            best_epoch, best_arrays = epoch, params.state_arrays()
+    params.load_arrays(best_arrays)
+    return TrainResult(params=params, best_epoch=best_epoch, history=history)
 
 
 def train(
@@ -167,56 +199,25 @@ def train(
 ) -> TrainResult:
     """Fit the model, returning the weights of the best validation epoch.
 
-    Takes scaled samples and encodes them here. The last partial batch of
-    each epoch is kept.
+    Takes scaled samples and encodes them here.
     """
-    train_batch = encode_samples(train_samples, model_config)
-    val_batch = encode_samples(val_samples, model_config)
-    if len(train_batch) == 0 or len(val_batch) == 0:
+    tb = encode_samples(train_samples, model_config)
+    vb = encode_samples(val_samples, model_config)
+    if len(tb) == 0 or len(vb) == 0:
         raise ValueError("train and validation splits must be non-empty")
-
     params = init_params(model_config)
-    state = OptimizerState.for_params(params)
     quantiles = model_config.head_quantiles
-    n = len(train_batch)
 
-    history: list[EpochStats] = []
-    best_epoch = -1
-    best_val = math.inf
-    best_arrays = None
+    def batch_loss(rows, rng):
+        pred = predict_batch(params, model_config, tb.buy[rows], tb.sell[rows],
+                             tb.mask_buy[rows], tb.mask_sell[rows])
+        return aql_loss(pred, T.constant(tb.labels[rows]), quantiles)
 
-    for epoch in range(cfg.epochs):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SHUFFLE_STREAM, epoch]))
-        order = rng.permutation(n)
-        lr = lr_at(epoch, cfg)
-        epoch_losses = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            sub = train_batch.take(idx)
-            params.zero_grad()
-            pred = predict_batch(params, model_config, sub.buy, sub.sell, sub.mask_buy, sub.mask_sell)
-            loss = aql_loss(pred, T.constant(sub.labels), quantiles)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, batch starting {start} (lr={lr})")
-            T.backward(loss)
-            adam_step(params, state, lr, cfg)
-            epoch_losses.append((value, len(idx)))
+    def val_aql():
+        pred = predict_batch(params, model_config, vb.buy, vb.sell, vb.mask_buy, vb.mask_sell)
+        return aql(vb.labels, pred.data, quantiles)
 
-        train_aql = sum(v * w for v, w in epoch_losses) / sum(w for _, w in epoch_losses)
-        val_aql = _eval_aql(params, model_config, val_batch)
-        if not math.isfinite(val_aql):
-            raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
-        history.append(EpochStats(epoch=epoch, train_aql=train_aql, val_aql=val_aql, lr=lr))
-        if val_aql < best_val:
-            best_val = val_aql
-            best_epoch = epoch
-            best_arrays = params.state_arrays()
-
-    best_params = init_params(model_config)
-    best_params.load_arrays(best_arrays)
-    return TrainResult(params=best_params, best_epoch=best_epoch, history=history)
+    return _fit(params, len(tb), batch_loss, val_aql, cfg, _SHUFFLE_STREAM)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 
 from orderfusion import tensor as T
 from orderfusion.baselines import ResidualQuantiles, naive_point, naive_probabilistic
-from orderfusion.evaluation import aiw, aqcr, evaluate_forecasts, pointwise, symmetric_pairs
+from orderfusion.evaluation import aiw, aql, aqcr, evaluate_forecasts, pointwise, symmetric_pairs
 from orderfusion.market import (
     MarketConfig,
     Trades,
@@ -32,7 +32,7 @@ from orderfusion.model import (
     predict_batch,
 )
 from orderfusion.synth import SynthConfig, gen_market
-from orderfusion.training import TrainConfig, add_months, aql, pinball, rolling_folds, train
+from orderfusion.training import TrainConfig, add_months, pinball, rolling_folds, train
 
 UTC = timezone.utc
 QUANTILES = (0.10, 0.25, 0.45, 0.50, 0.55, 0.75, 0.90)

@@ -15,8 +15,9 @@ from orderfusion.baselines import (
     naive_point,
     naive_probabilistic,
 )
+from orderfusion.evaluation import aql
 from orderfusion.market import Trades
-from orderfusion.training import aql
+from orderfusion.training import TrainConfig
 
 UTC = timezone.utc
 QUANTILES = (0.10, 0.25, 0.45, 0.50, 0.55, 0.75, 0.90)
@@ -237,9 +238,9 @@ class TestMlp:
         y = x ** 2 + rng.normal(0, 0.05, size=500)
         lqr_models = lqr_fit(x, y, quantiles=QUANTILES)
         lqr_aql = aql(y, lqr_predict(lqr_models, x), QUANTILES)
-        cfg = MLPConfig(hidden_size=16, n_layers=2, dropout=0.0, epochs=150,
-                        batch_size=128, lr0=1e-2, seed=5)
-        model = mlp_fit(x, y, QUANTILES, cfg)
+        cfg = MLPConfig(hidden_size=16, n_layers=2, dropout=0.0)
+        tcfg = TrainConfig(epochs=150, batch_size=128, lr0=1e-2, seed=5)
+        model = mlp_fit(x, y, x, y, tcfg, cfg, QUANTILES)
         mlp_aql = aql(y, model.predict(x), QUANTILES)
         assert mlp_aql < lqr_aql
 
@@ -247,14 +248,35 @@ class TestMlp:
         rng = np.random.default_rng(41)
         x = rng.normal(size=120)
         y = x * 3.0
-        cfg = MLPConfig(epochs=3, batch_size=64, lr0=1e-2, seed=9)
-        m1 = mlp_fit(x, y, QUANTILES, cfg)
-        m2 = mlp_fit(x, y, QUANTILES, cfg)
+        tcfg = TrainConfig(epochs=3, batch_size=64, lr0=1e-2, seed=9)
+        m1 = mlp_fit(x, y, x, y, tcfg, quantiles=QUANTILES)
+        m2 = mlp_fit(x, y, x, y, tcfg, quantiles=QUANTILES)
         np.testing.assert_array_equal(m1.predict(x), m2.predict(x))
 
     def test_output_width(self):
         rng = np.random.default_rng(43)
         x = rng.normal(size=60)
-        cfg = MLPConfig(epochs=1, batch_size=64, seed=1)
-        model = mlp_fit(x, x, QUANTILES, cfg)
+        tcfg = TrainConfig(epochs=1, batch_size=64, seed=1)
+        model = mlp_fit(x, x, x, x, tcfg, quantiles=QUANTILES)
         assert model.predict(x).shape == (60, 7)
+
+    def test_golden_predictions(self):
+        """Pinned predictions, so that a change in the order of the shuffle
+        and dropout draws shows: dropout 0.2, batches of 16 out of 70 rows,
+        a decay step at epoch 10."""
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=90)
+        y = np.sin(x) + 0.1 * rng.normal(size=90)
+        tcfg = TrainConfig(epochs=12, batch_size=16, lr0=1e-2, decay=0.5, seed=9)
+        model = mlp_fit(x[:70], y[:70], x[70:], y[70:], tcfg,
+                        MLPConfig(hidden_size=8, dropout=0.2), (0.1, 0.5, 0.9))
+        golden = [[-1.0189381184285553, -0.6439136476260644, -0.15375706866027633],
+                  [-0.2688558733024008, 0.019738647672197275, 0.4474317480032183],
+                  [0.6734668196687726, 0.8193495697221579, 1.5549533933108763]]
+        np.testing.assert_allclose(model.predict(np.array([-1.0, 0.0, 1.5])), golden,
+                                   rtol=0, atol=1e-12)
+
+    def test_empty_validation_rejected(self):
+        x = np.random.default_rng(53).normal(size=20)
+        with pytest.raises(ValueError, match="non-empty"):
+            mlp_fit(x, x, x[:0], x[:0], TrainConfig(epochs=1), quantiles=QUANTILES)

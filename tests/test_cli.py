@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -201,6 +202,24 @@ class TestCommandVariants:
                          "--variant", "naive3", "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("variant", ["vwap15", "last_price"])
+    def test_feature_baseline_without_validation_features_is_data_error(self, tmp_path, variant):
+        # 20 hourly deliveries split 14/3/3; the 3 validation deliveries
+        # trade only inside the label window, after the forecast time.
+        fmt = lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ")
+        rows = ["delivery_start,side,price,volume,transaction_time"]
+        for i in range(20):
+            delivery = datetime(2024, 1, 2, tzinfo=timezone.utc) + timedelta(hours=i)
+            for minutes in ((45,) if 14 <= i < 17 else (90, 45)):
+                for side in "+-":
+                    rows.append(f"{fmt(delivery)},{side},{50 + i},1.0,"
+                                f"{fmt(delivery - timedelta(minutes=minutes))}")
+        data = tmp_path / "trades.csv"
+        data.write_text("\n".join(rows) + "\n")
+        assert dispatch(["baseline", "--data", str(data), "--variant", variant,
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
 
 MANIFEST_KEYS = {"command", "config_path", "seed", "inputs", "outputs",
                  "wall_clock_seconds", "artifact_version"}
@@ -344,17 +363,39 @@ class TestExitCodes:
         ("train", "market", "FR"), ("train", "index", "5"), ("train", "hidden_dim", "0"),
         ("train", "mask_variant", "bogus"), ("train", "epochs", "0"),
         ("synth", "n_days", "0"), ("synth", "market", "FR"),
+        ("gridsearch", "grid_hidden_dim", "abc"), ("gridsearch", "grid_hidden_dim", "0"),
+        ("gridsearch", "grid_cutoff_exponent", "9"),
+        ("baseline", "epochs", "0"), ("baseline", "batch_size", "0"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text((RUN_CONFIG if command == "train" else SYNTH_CONFIG) + f"{key} = {value}\n")
+        cfg.write_text((SYNTH_CONFIG if command == "synth" else RUN_CONFIG) + f"{key} = {value}\n")
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
-        if command == "train":
+        if command != "synth":
             argv += ["--data", str(workspace / "data" / "trades.csv")]
+        if command == "baseline":
+            argv += ["--variant", "vwap15"]
         assert dispatch(argv) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert any(key in message for message in errors), errors
+
+    def test_zero_budget_is_usage_error(self, workspace, tmp_path):
+        assert dispatch(["gridsearch", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--budget", "0", "--out", str(tmp_path / "o")]) == 1
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize("content", ["not json\n", '{"magic": "x"}\n', "[]\n"],
+                             ids=["not_json", "wrong_magic", "not_an_object"])
+    def test_unreadable_checkpoint_is_data_error(self, workspace, tmp_path, command, content):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(content)
+        assert dispatch([command, "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     def test_unknown_ablation_variant(self, workspace, tmp_path):
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),

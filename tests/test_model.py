@@ -11,7 +11,6 @@ from orderfusion.model import (
     aggregate_and_pool,
     cross_attention_fuse,
     encode_samples,
-    forward,
     fusion_stack,
     hierarchical_head,
     init_params,
@@ -278,10 +277,10 @@ class TestForward:
         rng = np.random.default_rng(43)
         config = small_config()
         params = init_params(config)
-        sample = make_sample(rng, 5, 3)
-        f1 = forward(sample, params, config)
-        f2 = forward(sample, params, config)
-        assert (f1.values == f2.values).all()
+        b = encode_samples([make_sample(rng, 5, 3)], config)
+        f1 = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
+        f2 = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
+        assert (f1.data == f2.data).all()
 
     def test_sentinel_mutation_bit_identical(self):
         rng = np.random.default_rng(47)
@@ -315,10 +314,10 @@ class TestForward:
         config = small_config(fusion_variant="no_fusion")
         params = init_params(config)
         assert params.n_scalars() == 7 * 7
-        sample = make_sample(rng, 3, 3)
-        out = forward(sample, params, config)
-        assert out.values.shape == (7,)
-        assert out.is_monotone()
+        b = encode_samples([make_sample(rng, 3, 3)], config)
+        out = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data[0]
+        assert out.shape == (7,)
+        assert np.all(np.diff(out) >= 0)
 
 
 def _untrimmed(params, config, buy, sell, mask_buy, mask_sell):

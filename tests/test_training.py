@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderfusion import tensor as T
+from orderfusion.evaluation import aql
 from orderfusion.market import Sample
 from orderfusion.model import ModelConfig, encode_samples, init_params, predict_batch
 from orderfusion.training import (
@@ -16,7 +18,6 @@ from orderfusion.training import (
     RollingSpec,
     TrainConfig,
     adam_step,
-    aql,
     aql_loss,
     add_months,
     grid_search,
@@ -229,6 +230,32 @@ class TestTrainLoop:
         pred = predict_batch(result.params, self.CONFIG, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
         assert aql(batch.labels, pred.data, self.CONFIG.quantiles) == pytest.approx(result.best_val_aql)
 
+    def test_golden_history(self):
+        """Pinned per-epoch losses, so that a change in the shuffle or the
+        schedule shows: four batches an epoch, a decay step every 2 epochs."""
+        train_s, val_s = self._data()
+        cfg = TrainConfig(epochs=4, batch_size=64, lr0=1e-2, decay=0.5, decay_every_epochs=2, seed=7)
+        result = train(self.CONFIG, train_s, val_s, cfg)
+        golden = [(0.11934949277568688, 0.1057630613912942),
+                  (0.1042756524981852, 0.10137323870514323),
+                  (0.09860607604720384, 0.09760301869322104),
+                  (0.09309707425005913, 0.09159222852143616)]
+        np.testing.assert_allclose([(h.train_aql, h.val_aql) for h in result.history], golden,
+                                   rtol=0, atol=1e-12)
+        assert result.best_epoch == 3
+
+    def test_early_best_epoch_weights_are_restored(self):
+        # validation labels of the opposite sign: fitting the training split
+        # makes the validation loss worse, so the best epoch is not the last
+        train_s, val_s = self._data()
+        val_s = [replace(s, label=-s.label) for s in val_s]
+        cfg = TrainConfig(epochs=6, batch_size=128, lr0=1e-2, seed=3)
+        result = train(self.CONFIG, train_s, val_s, cfg)
+        assert result.best_epoch < cfg.epochs - 1
+        batch = encode_samples(val_s, self.CONFIG)
+        pred = predict_batch(result.params, self.CONFIG, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
+        assert aql(batch.labels, pred.data, self.CONFIG.quantiles) == result.best_val_aql
+
     def test_empty_split_rejected(self):
         train_s, val_s = self._data()
         with pytest.raises(ValueError):
@@ -322,3 +349,12 @@ class TestGridSearch:
         space = {"cutoff_exponent": [0, 1, 2, 3]}
         _, table = grid_search(base, cfg, space, [(samples[:40], samples[40:])], budget=2)
         assert len(table) == 2
+
+    def test_process_pool_matches_serial(self):
+        rng = np.random.default_rng(113)
+        samples = synthetic_scaled_samples(rng, 60)
+        base = ModelConfig(hidden_dim=4, interaction_degree=1, cutoff_exponent=2, t_max=8, seed=2)
+        cfg = TrainConfig(epochs=2, batch_size=32, lr0=1e-2, seed=2)
+        space = {"hidden_dim": [2, 4], "cutoff_exponent": [1, 2]}
+        folds = [(samples[:40], samples[40:])]
+        assert grid_search(base, cfg, space, folds, jobs=2) == grid_search(base, cfg, space, folds)
