@@ -216,6 +216,14 @@ class MLPConfig:
     n_layers: int = 2
     dropout: float = 0.1
 
+    def __post_init__(self):
+        if self.hidden_size < 1:
+            raise ValueError(f"hidden_size must be >= 1, got {self.hidden_size}")
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must lie in [0, 1), got {self.dropout}")
+
 
 _MLP_INIT_STREAM = 505
 _MLP_DROP_STREAM = 606

@@ -117,13 +117,14 @@ def _get(cfg: dict, key: str, cast, default):
         raise DataError(f"config key {key}={cfg[key]!r}: {exc}") from exc
 
 
-def _from_config(build, *args, **kwargs):
+def _from_config(build, *args, key_prefix: str = "", **kwargs):
     """``build(*args, **kwargs)`` on values read from a config file; a value
-    it rejects is a data error, with the message that names its field."""
+    it rejects is a data error, with the message that names its field (whose
+    config key is ``key_prefix`` + the field name)."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise DataError(f"bad config value: {exc}") from exc
+        raise DataError(f"bad config value: {key_prefix}{exc}") from exc
 
 
 def model_config_from(cfg: dict, seed: int) -> ModelConfig:
@@ -432,9 +433,10 @@ def cmd_baseline(run: Run):
     if variant in NAIVE_BASELINES:
         rows = naive_baseline(variant, train_raw + val_raw, test_raw)
     else:
-        mlp_cfg = MLPConfig(hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
-                            n_layers=_get(cfg, "mlp_n_layers", int, 2),
-                            dropout=_get(cfg, "mlp_dropout", float, 0.1))
+        mlp_cfg = _from_config(MLPConfig, key_prefix="mlp_",
+                               hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
+                               n_layers=_get(cfg, "mlp_n_layers", int, 2),
+                               dropout=_get(cfg, "mlp_dropout", float, 0.1))
         rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw,
                                 train_config_from(cfg, run.seed), mlp_cfg)
     if not rows:

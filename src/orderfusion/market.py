@@ -189,18 +189,25 @@ def parse_trades(path) -> Trades:
     return Trades(*(np.array(c) for c in columns))
 
 
+def _format_times(us: np.ndarray) -> list[str]:
+    """``format_timestamp`` of µs times, less the 'Z'; as in ``isoformat``, no zero µs."""
+    stamps = us.astype("datetime64[us]")
+    whole = us % 1_000_000 == 0
+    text = np.datetime_as_string(stamps, unit="us")
+    text[whole] = np.datetime_as_string(stamps[whole], unit="s")
+    return text.tolist()
+
+
 def write_trades(path, trades: Trades) -> None:
     """Write trades in the ingest CSV contract; floats round-trip exactly."""
+    keys, delivery_index = np.unique(trades.delivery, return_inverse=True)
+    delivery_text = [format_timestamp(Trades.from_us(k)) for k in keys.tolist()]
+    rows = zip(delivery_index.tolist(), np.where(trades.side > 0, "+", "-").tolist(),
+               trades.price.tolist(), trades.volume.tolist(), _format_times(trades.time))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRADE_HEADER)
-        keys, delivery_index = np.unique(trades.delivery, return_inverse=True)
-        delivery_text = [format_timestamp(Trades.from_us(k)) for k in keys.tolist()]
-        for i, side, price, volume, time in zip(
-                delivery_index.tolist(), trades.side.tolist(), trades.price.tolist(),
-                trades.volume.tolist(), trades.time.tolist()):
-            writer.writerow([delivery_text[i], "+" if side > 0 else "-",
-                             repr(price), repr(volume), format_timestamp(Trades.from_us(time))])
+        fh.write(",".join(TRADE_HEADER) + "\n")
+        fh.writelines(f"{delivery_text[i]},{side},{price!r},{volume!r},{time}Z\n"
+                      for i, side, price, volume, time in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,29 @@ def _hour_vol_scale(cfg: SynthConfig, hour: int) -> float:
     return 1.0 + cfg.vol_hour_amplitude * math.sin(2.0 * math.pi * hour / 24.0)
 
 
+def _arrivals(rng: np.random.Generator, scale: float, horizon: float) -> np.ndarray:
+    """Poisson arrival times before ``horizon``, drawn in batches; at the crossing
+    ``rng`` is rewound to take exactly the draws of a ``t += exponential`` loop."""
+    n = max(int(1.5 * horizon / scale), 0) + 16
+    parts, start = [], 0.0
+    while True:
+        state = rng.bit_generator.state
+        t = np.cumsum(np.concatenate(([start], rng.exponential(scale, size=n))))[1:]
+        cross = int(np.searchsorted(t, horizon))    # first t >= horizon; cumsum adds in sequence
+        if cross < n:
+            rng.bit_generator.state = state
+            rng.exponential(scale, size=cross + 1)
+            return np.concatenate(parts + [t[:cross]])
+        parts.append(t)
+        start = float(t[-1])
+
+
+def _minutes_to_us(minutes: np.ndarray) -> np.ndarray:
+    """``timedelta(minutes=m) // timedelta(microseconds=1)``, µs ties to even, for m >= 0."""
+    frac, whole = np.modf(minutes)
+    return whole.astype(np.int64) * 60_000_000 + np.rint(frac * 60e6).astype(np.int64)
+
+
 def simulate_delivery(
     cfg: SynthConfig,
     delivery: datetime,
@@ -99,59 +122,49 @@ def simulate_delivery(
     rng: np.random.Generator,
     collect_mid: bool = False,
 ):
-    """One delivery hour's trades in transaction-time order; optionally also
-    (side, price, mid) rows."""
-    hour = delivery.hour
-    per_min_vol = cfg.vol_per_hour / math.sqrt(60.0) * _hour_vol_scale(cfg, hour)
-    session_start = delivery - timedelta(minutes=cfg.session_minutes)
-
-    # per-side Poisson arrivals, in minutes from session start
-    def arrivals():
-        out = []
-        t = rng.exponential(1.0 / cfg.arrival_rate_per_min)
-        while t < cfg.session_minutes:
-            out.append(t)
-            t += rng.exponential(1.0 / cfg.arrival_rate_per_min)
-        return out
-
-    events = [(t, 1) for t in arrivals()] + [(t, -1) for t in arrivals()]
-
-    # downward jumps inside the final hour of the session
+    """One delivery hour's trades in transaction-time order; optionally also (side,
+    price, mid) rows. Events go in time order, jump before buy before sell. After a
+    positive gap an event steps the mid by a normal; a jump then draws its size, a
+    trade its noise and log-volume normals, one call per run of events between jumps."""
+    per_min_vol = cfg.vol_per_hour / math.sqrt(60.0) * _hour_vol_scale(cfg, delivery.hour)
+    scale, horizon = 1.0 / cfg.arrival_rate_per_min, cfg.session_minutes
+    buys, sells = _arrivals(rng, scale, horizon), _arrivals(rng, scale, horizon)
     n_jumps = rng.poisson(cfg.jump_intensity_per_hour)
-    jump_window_start = cfg.session_minutes - 60.0
-    for _ in range(n_jumps):
-        t = rng.uniform(max(0.0, jump_window_start), cfg.session_minutes)
-        events.append((t, 0))  # side 0 marks a jump event
-    events.sort(key=lambda e: (e[0], e[1] != 0, -e[1]))  # equal times: jump, buy, sell
-
-    times, sides, prices, volumes = [], [], [], []
-    diagnostics = []
-    mid = anchor_level
-    cursor = 0.0
-    last_price = {1: None, -1: None}
-    for t, side in events:
-        dt = t - cursor
-        cursor = t
-        if dt > 0:
-            mid += rng.normal(0.0, per_min_vol * math.sqrt(dt))
-        if side == 0:
-            mid -= rng.exponential(cfg.jump_size_mean)
-            continue
-        noise = abs(rng.normal(0.0, cfg.half_spread))
-        quote = mid + side * noise
-        other = last_price[-side]
+    jumps = rng.uniform(max(0.0, horizon - 60.0), horizon, size=n_jumps)
+    t = np.concatenate([buys, sells, jumps])
+    side = np.repeat(np.array([1, -1, 0], np.int8), [len(buys), len(sells), n_jumps])
+    order = np.lexsort((-side, side != 0, t))   # stable: equal keys keep draw order
+    t, side = t[order], side[order]
+    dt = np.diff(t, prepend=0.0)
+    step, trade = dt > 0, side != 0
+    n_normals = step + 2 * trade
+    first = np.cumsum(n_normals) - n_normals    # each event's first normal draw
+    z, done = np.empty(int(n_normals.sum())), 0
+    increments = np.zeros((len(t), 2))          # per event: mid step, then jump
+    for j in np.flatnonzero(~trade).tolist():
+        end = int(first[j] + n_normals[j])
+        z[done:end] = rng.standard_normal(end - done)
+        increments[j, 1] = -rng.exponential(cfg.jump_size_mean)
+        done = end
+    z[done:] = rng.standard_normal(len(z) - done)
+    increments[step, 0] = 0.0 + per_min_vol * np.sqrt(dt[step]) * z[first[step]]
+    taken = np.column_stack([step, ~trade])
+    mid_path = np.cumsum(np.concatenate(([anchor_level], increments[taken])))
+    mid = mid_path[np.cumsum(taken.sum(axis=1))[trade]]    # a trade event takes no jump
+    side, z_at = side[trade], (first + step)[trade]
+    noise = np.abs(0.0 + cfg.half_spread * z[z_at])
+    log_volume = cfg.volume_lognorm_mu + cfg.volume_lognorm_sigma * z[z_at + 1]
+    prices, last_price = [], {1: None, -1: None}
+    for s, quote in zip(side.tolist(), (mid + side * noise).tolist()):
+        other = last_price[-s]
         price = quote if other is None else quote + cfg.coupling * (other - quote)
-        last_price[side] = price
-        times.append(Trades.to_us(session_start + timedelta(minutes=float(t))))
-        sides.append(side)
-        prices.append(float(price))
-        volumes.append(float(rng.lognormal(cfg.volume_lognorm_mu, cfg.volume_lognorm_sigma)))
-        if collect_mid:
-            diagnostics.append((side, float(price), float(mid)))
-    trades = Trades(np.full(len(times), Trades.to_us(delivery), dtype=np.int64),
-                    np.array(times, dtype=np.int64), np.array(sides, dtype=np.int8),
-                    np.array(prices, dtype=np.float64), np.array(volumes, dtype=np.float64))
-    return trades, (diagnostics if collect_mid else None)
+        last_price[s] = price
+        prices.append(price)
+    time = Trades.to_us(delivery - timedelta(minutes=cfg.session_minutes)) + _minutes_to_us(t[trade])
+    volume = [math.exp(v) for v in log_volume.tolist()]    # libm exp, as numpy's lognormal
+    trades = Trades(np.full(len(side), Trades.to_us(delivery), dtype=np.int64), time, side,
+                    np.array(prices, dtype=np.float64), np.array(volume, dtype=np.float64))
+    return trades, (list(zip(side.tolist(), prices, mid.tolist())) if collect_mid else None)
 
 
 def gen_market(

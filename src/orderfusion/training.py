@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime
 
@@ -323,6 +322,8 @@ def grid_search(
             tasks.append((base_config, train_cfg, fold_idx, overrides, train_samples, val_samples))
 
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor    # its import costs every command ~18 ms
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             table = list(pool.map(_run_cell, tasks))
     else:

@@ -366,6 +366,8 @@ class TestExitCodes:
         ("gridsearch", "grid_hidden_dim", "abc"), ("gridsearch", "grid_hidden_dim", "0"),
         ("gridsearch", "grid_cutoff_exponent", "9"),
         ("baseline", "epochs", "0"), ("baseline", "batch_size", "0"),
+        ("baseline", "mlp_hidden_size", "0"), ("baseline", "mlp_dropout", "1.0"),
+        ("baseline", "mlp_dropout", "-0.5"), ("baseline", "mlp_n_layers", "-1"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"

@@ -13,6 +13,7 @@ from orderfusion.market import (
     ParseError,
     RobustScaler,
     Trades,
+    _format_times,
     apply_scaler,
     build_dataset,
     build_sample,
@@ -118,6 +119,24 @@ class TestParse:
         write_trades(path, records)
         parsed = parse_trades(path)
         assert_same_table(parsed, records)
+
+    def test_column_formatter_matches_format_timestamp(self):
+        stamps = [
+            datetime(2024, 7, 23, 17, 59, 0, tzinfo=UTC),                 # whole second
+            datetime(2024, 7, 23, 17, 59, 0, 1, tzinfo=UTC),              # 1 µs
+            datetime(2024, 7, 23, 17, 59, 59, 999_999, tzinfo=UTC),       # 999,999 µs
+            datetime(2024, 2, 29, 12, 30, 15, 250_000, tzinfo=UTC),       # leap day
+            datetime(2023, 12, 31, 23, 59, 59, 500_000, tzinfo=UTC),      # year boundary
+            datetime(2024, 1, 1, tzinfo=UTC),
+            datetime(1969, 12, 31, 23, 59, 59, 999_999, tzinfo=UTC),      # pre-1970
+            datetime(1969, 12, 31, 23, 59, 58, tzinfo=UTC),
+            datetime(1901, 6, 1, 0, 0, 0, 7, tzinfo=UTC),
+        ]
+        rng = np.random.default_rng(3)
+        stamps += [Trades.from_us(us) for us in rng.integers(-10**15, 10**16, size=2000).tolist()]
+        stamps += [Trades.from_us(us * 10**6) for us in rng.integers(-10**9, 10**10, size=200).tolist()]
+        us = np.array([Trades.to_us(dt) for dt in stamps], dtype=np.int64)
+        assert [t + "Z" for t in _format_times(us)] == [format_timestamp(dt) for dt in stamps]
 
 
 class TestIndexLabel:

@@ -1,5 +1,6 @@
 import hashlib
-from datetime import datetime, timezone
+import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from orderfusion.market import (
     delivery_slices,
     parse_trades,
 )
-from orderfusion.synth import SynthConfig, gen_market, simulate_delivery, write_market
+from orderfusion.synth import (
+    SynthConfig,
+    _hour_vol_scale,
+    _minutes_to_us,
+    gen_market,
+    simulate_delivery,
+    write_market,
+)
 
 UTC = timezone.utc
 
@@ -66,6 +74,16 @@ class TestDegenerate:
         digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest(trades_path) == "6200eea4944f8b61b746721d7115a3d7dd54f900de7ef5cdbb8ffd59c631da42"
         assert digest(labels_path) == "22cafd93ae07815f2b4d163b907745dc6a9435b657d856e0154e7875706062d8"
+
+    def test_golden_files_jump_heavy(self, tmp_path):
+        # about three jumps per delivery, full coupling and hour-dependent
+        # vol: the seed-0 golden config above has only a few jumps
+        cfg = SynthConfig(seed=0, n_days=2, jump_intensity_per_hour=3.0, vol_hour_amplitude=0.5,
+                          coupling=1.0)
+        trades_path, labels_path, _ = write_market(cfg, tmp_path)
+        digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest(trades_path) == "cf8f932ada116046cf1538f5f36f3fedab725176163f17b70ffae0a850d5eb8e"
+        assert digest(labels_path) == "08a093116b38525af94f05955275cbf5322ddd0c2d64a14f7736351cccf5beab"
 
     def test_different_seeds_differ(self, tmp_path):
         base = dict(n_days=1, arrival_rate_per_min=0.2, session_minutes=180)
@@ -163,3 +181,82 @@ class TestStructure:
             SynthConfig(coupling=1.5)
         with pytest.raises(ValueError):
             SynthConfig(vol_hour_amplitude=1.0)
+
+
+def scalar_delivery(cfg, delivery, mid, rng):
+    """The per-event loop ``simulate_delivery`` batches: one draw per call."""
+    per_min_vol = cfg.vol_per_hour / math.sqrt(60.0) * _hour_vol_scale(cfg, delivery.hour)
+    events = []
+    for side in (1, -1):
+        t = rng.exponential(1.0 / cfg.arrival_rate_per_min)
+        while t < cfg.session_minutes:
+            events.append((t, side))
+            t += rng.exponential(1.0 / cfg.arrival_rate_per_min)
+    for _ in range(rng.poisson(cfg.jump_intensity_per_hour)):
+        events.append((rng.uniform(max(0.0, cfg.session_minutes - 60.0), cfg.session_minutes), 0))
+    events.sort(key=lambda e: (e[0], e[1] != 0, -e[1]))
+    session_start = delivery - timedelta(minutes=cfg.session_minutes)
+    rows, cursor, last = [], 0.0, {1: None, -1: None}
+    for t, side in events:
+        if t - cursor > 0:
+            mid += rng.normal(0.0, per_min_vol * math.sqrt(t - cursor))
+        cursor = t
+        if side == 0:
+            mid -= rng.exponential(cfg.jump_size_mean)
+            continue
+        quote = mid + side * abs(rng.normal(0.0, cfg.half_spread))
+        other = last[-side]
+        last[side] = quote if other is None else quote + cfg.coupling * (other - quote)
+        rows.append((Trades.to_us(session_start + timedelta(minutes=float(t))), side, last[side],
+                     float(rng.lognormal(cfg.volume_lognorm_mu, cfg.volume_lognorm_sigma)), mid))
+    return rows
+
+
+class QuarterMinuteClock:
+    """A generator whose exponential and uniform draws are rounded to a
+    quarter minute, so that arrivals and jumps tie and some gaps are 0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def exponential(self, scale=1.0, size=None):
+        return np.round(self._rng.exponential(scale, size) * 4.0) / 4.0
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.round(self._rng.uniform(low, high, size) * 4.0) / 4.0
+
+
+class TestColumnParity:
+    """The column passes of ``simulate_delivery`` against the scalar code
+    they replace, bit for bit."""
+
+    @pytest.mark.parametrize("make_rng", [np.random.default_rng, QuarterMinuteClock])
+    @pytest.mark.parametrize("cfg", [
+        SynthConfig(),
+        SynthConfig(jump_intensity_per_hour=3.0, vol_hour_amplitude=0.5, coupling=1.0),
+        SynthConfig(arrival_rate_per_min=5.0, session_minutes=60, jump_intensity_per_hour=10.0),
+        SynthConfig(arrival_rate_per_min=0.01, session_minutes=30),
+    ])
+    def test_matches_per_event_loop(self, cfg, make_rng):
+        rng_scalar, rng_column = make_rng(21), make_rng(21)
+        for hour in range(24):
+            delivery = datetime(2024, 3, 31, hour, tzinfo=UTC)
+            expected = scalar_delivery(cfg, delivery, 80.0, rng_scalar)
+            trades, diag = simulate_delivery(cfg, delivery, 80.0, rng_column, collect_mid=True)
+            assert list(zip(trades.time.tolist(), trades.side.tolist(), trades.price.tolist(),
+                            trades.volume.tolist(), [m for _, _, m in diag])) == expected
+            assert rng_column.bit_generator.state == rng_scalar.bit_generator.state
+
+    def test_minutes_to_us_matches_timedelta(self):
+        rng = np.random.default_rng(8)
+        minutes = np.concatenate([
+            rng.uniform(0.0, 240.0, 20_000),
+            np.cumsum(rng.exponential(4.0, 60)),
+            np.arange(1, 240 * 512, 2) / 512.0,     # frac * 60e6 ends in exactly .5
+            [0.0, 1.0, 239.0, 0.5 / 60e6, 1.5 / 60e6],
+        ])
+        us = timedelta(microseconds=1)
+        assert _minutes_to_us(minutes).tolist() == [timedelta(minutes=m) // us for m in minutes.tolist()]
