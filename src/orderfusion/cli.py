@@ -43,8 +43,8 @@ from .model import (
     ModelConfig,
     encode_samples,
     load_checkpoint,
-    predict_batch,
     save_checkpoint,
+    score_batch,
 )
 from .synth import SynthConfig, write_market
 from .training import DivergenceError, TrainConfig, grid_search, train
@@ -282,8 +282,7 @@ def _prepare_training(run: Run):
 
 
 def _predictions_eur(params, config, batch, label_scaler):
-    pred = predict_batch(params, config, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
-    return label_scaler.inverse(pred.data)
+    return label_scaler.inverse(score_batch(params, config, batch))
 
 
 def _result_row(model, fold, index, report, best_of_pair=""):
@@ -428,17 +427,18 @@ def cmd_baseline(run: Run):
         raise UsageError(f"unknown baseline variant {variant!r}; known: "
                          + " ".join([*NAIVE_BASELINES, *FEATURE_BASELINES]))
     market_cfg = _market_config(run.args, cfg)
+    if variant in FEATURE_BASELINES:    # config errors before the parse
+        mlp_cfg = _from_config(MLPConfig, key_prefix="mlp_",
+                               hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
+                               n_layers=_get(cfg, "mlp_n_layers", int, 2),
+                               dropout=_get(cfg, "mlp_dropout", float, 0.1))
+        train_cfg = train_config_from(cfg, run.seed)
     trades, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, cfg)
     if variant in NAIVE_BASELINES:
         rows = naive_baseline(variant, train_raw + val_raw, test_raw)
     else:
-        mlp_cfg = _from_config(MLPConfig, key_prefix="mlp_",
-                               hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
-                               n_layers=_get(cfg, "mlp_n_layers", int, 2),
-                               dropout=_get(cfg, "mlp_dropout", float, 0.1))
-        rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw,
-                                train_config_from(cfg, run.seed), mlp_cfg)
+        rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw, train_cfg, mlp_cfg)
     if not rows:
         raise DataError(f"{variant}: the training, validation or test split has no sample "
                         "with the history or trades the baseline needs")

@@ -16,7 +16,13 @@ effect has a closed form: as keys they are zero logits that still take
 softmax mass (``softmax_rows(..., lead)``), and as rows they count in the
 average pool's divisor and bound the max pool below at 0. The outputs equal
 those of the untrimmed arrays up to floating-point summation order, and
-bit for bit when no leading row is dead.
+bit for bit when no leading row is dead. A side whose trimmed mask is 1
+everywhere gets no mask multiply at all (``x * 1.0 == x``, so that changes
+no bit); on dense markets this holds for whole batches.
+
+``score_batch`` is the scoring entry point: it runs ``predict_batch`` on
+constant views of the parameters, so no graph is kept, in chunks of
+``SCORE_CHUNK_ROWS`` rows, so its memory does not grow with the row count.
 
 Ablation switches cover: mask variants, removing fusion entirely (pooled
 raw sides feed the heads), aggregation without the residual sum or with
@@ -51,6 +57,8 @@ __all__ = [
     "aggregate_and_pool",
     "hierarchical_head",
     "predict_batch",
+    "score_batch",
+    "SCORE_CHUNK_ROWS",
     "param_count",
     "save_checkpoint",
     "load_checkpoint",
@@ -67,6 +75,9 @@ HEAD_VARIANTS = ("hierarchical", "multi", "single", "posthoc_sort")
 
 _INIT_STREAM = 101
 _MASK_STREAM = 202
+
+# Rows per forward pass of ``score_batch``; the default training batch size.
+SCORE_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -175,6 +186,16 @@ class ModelParams:
     def zero_grad(self) -> None:
         for p in self:
             p.zero_grad()
+
+    def frozen(self) -> "ModelParams":
+        """The same arrays, uncopied, behind constant tensors: a forward pass
+        over the view records no graph and keeps no backward closure."""
+        view = ModelParams()
+        for name, p in self._params.items():
+            const = T.Parameter.__new__(T.Parameter)
+            const.name, const.value = name, T.constant(p.value.data)
+            view._params[name] = const
+        return view
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {name: p.value.data.copy() for name, p in self._params.items()}
@@ -288,12 +309,14 @@ def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
 # ---------------------------------------------------------------------------
 
 
-def input_project(side_matrix: T.Tensor, w: T.Tensor, b: T.Tensor | None, mask: T.Tensor) -> T.Tensor:
-    """Row-wise 3 -> hidden linear map, swish, then mask multiply."""
+def input_project(side_matrix: T.Tensor, w: T.Tensor, b: T.Tensor | None,
+                  mask: T.Tensor | None) -> T.Tensor:
+    """Row-wise 3 -> hidden linear map, swish, then mask multiply (none
+    when ``mask`` is None, meaning 1 everywhere)."""
     out = T.matmul(side_matrix, w)
     if b is not None:
         out = out + b
-    return T.swish(out) * mask
+    return _masked(T.swish(out), mask)
 
 
 def cross_attention_fuse(
@@ -302,62 +325,70 @@ def cross_attention_fuse(
     w_query: T.Tensor,
     w_key: T.Tensor,
     w_value: T.Tensor,
-    mask_q: T.Tensor,
+    mask_q: T.Tensor | None,
     lead: int = 0,
 ) -> T.Tensor:
     """Scaled dot-product attention of one side over the other.
 
     Queries come from ``query_side``; keys and values from ``other_side``.
     Inputs are already masked; the output is re-masked with the query
-    side's mask. Attention logits carry no extra masking, so zeroed key
-    rows contribute uniform terms to the softmax denominator. ``lead``
-    counts zero rows trimmed from the front of both sides: they are not
-    computed, but as keys their zero logits keep their softmax mass in
-    closed form (their values are zero, so they add nothing else).
+    side's mask (None: 1 everywhere, no multiply). Attention logits carry
+    no extra masking, so zeroed key rows contribute uniform terms to the
+    softmax denominator. ``lead`` counts zero rows trimmed from the front
+    of both sides: they are not computed, but as keys their zero logits
+    keep their softmax mass in closed form (their values are zero, so they
+    add nothing else).
     """
     hidden = w_query.data.shape[-1]
-    q = T.matmul(query_side, w_query)
-    k = T.matmul(other_side, w_key)
-    v = T.matmul(other_side, w_value)
-    scores = T.matmul(q, T.transpose(k))
-    return T.matmul(T.softmax_rows(scores, 1.0 / math.sqrt(hidden), lead), v) * mask_q
+    # nested, so that without a graph the queries, keys and logits are freed
+    # as soon as they are used
+    weights = T.softmax_rows(
+        T.matmul(T.matmul(query_side, w_query), T.transpose(T.matmul(other_side, w_key))),
+        1.0 / math.sqrt(hidden), lead)
+    return _masked(T.matmul(weights, T.matmul(other_side, w_value)), mask_q)
+
+
+def _masked(rows: T.Tensor, mask: T.Tensor | None) -> T.Tensor:
+    return rows if mask is None else rows * mask
 
 
 def fusion_stack(
     buy: T.Tensor,
     sell: T.Tensor,
     params: ModelParams,
-    mask_buy: T.Tensor,
-    mask_sell: T.Tensor,
+    mask_buy: T.Tensor | None,
+    mask_sell: T.Tensor | None,
     degrees: int,
     lead: int = 0,
 ) -> list[tuple[T.Tensor, T.Tensor]]:
     """Iterate the buy/sell cross-attention for the requested degrees.
 
     Both sides at degree k read only degree k-1 representations. ``lead``
-    is the number of zero rows trimmed from the front of both sides.
+    is the number of zero rows trimmed from the front of both sides. The
+    inputs are not kept: without a graph they are freed after degree 1
+    unless the caller holds them.
     """
     if degrees < 1:
         raise ValueError("fusion_stack needs at least one degree")
     pairs = []
-    prev_buy, prev_sell = buy, sell
     for k in range(1, degrees + 1):
-        next_buy = cross_attention_fuse(
-            prev_buy, prev_sell,
-            params[f"fuse{k}.buy.wq"].value,
-            params[f"fuse{k}.sell.wk"].value,
-            params[f"fuse{k}.sell.wv"].value,
-            mask_buy, lead,
+        buy, sell = (
+            cross_attention_fuse(
+                buy, sell,
+                params[f"fuse{k}.buy.wq"].value,
+                params[f"fuse{k}.sell.wk"].value,
+                params[f"fuse{k}.sell.wv"].value,
+                mask_buy, lead,
+            ),
+            cross_attention_fuse(
+                sell, buy,
+                params[f"fuse{k}.sell.wq"].value,
+                params[f"fuse{k}.buy.wk"].value,
+                params[f"fuse{k}.buy.wv"].value,
+                mask_sell, lead,
+            ),
         )
-        next_sell = cross_attention_fuse(
-            prev_sell, prev_buy,
-            params[f"fuse{k}.sell.wq"].value,
-            params[f"fuse{k}.buy.wk"].value,
-            params[f"fuse{k}.buy.wv"].value,
-            mask_sell, lead,
-        )
-        pairs.append((next_buy, next_sell))
-        prev_buy, prev_sell = next_buy, next_sell
+        pairs.append((buy, sell))
     return pairs
 
 
@@ -455,25 +486,49 @@ def predict_batch(
     """Full forward pass over a batch of encoded arrays, in scaled space.
 
     The leading rows that every sample masks out on both sides are trimmed
-    before any op and accounted for in closed form (see the module doc).
+    before any op and accounted for in closed form, and a trimmed mask of
+    all ones is not multiplied (see the module doc).
     """
     lead = _dead_lead(mask_buy, mask_sell)
     tb = T.constant(buy[:, lead:])
     ts = T.constant(sell[:, lead:])
-    mb = T.constant(mask_buy[:, lead:])
-    ms = T.constant(mask_sell[:, lead:])
+    mb = _mask_node(mask_buy[:, lead:])
+    ms = _mask_node(mask_sell[:, lead:])
     if config.fusion_variant == "no_fusion":
-        pooled = _pool(T.concat_cols(tb * mb, ts * ms), config.pooling_variant, lead)
+        pooled = _pool(T.concat_cols(_masked(tb, mb), _masked(ts, ms)), config.pooling_variant, lead)
     else:
-        proj_b = input_project(
-            tb, params["proj.buy.w"].value,
-            params["proj.buy.b"].value if "proj.buy.b" in params else None, mb)
-        proj_s = input_project(
-            ts, params["proj.sell.w"].value,
-            params["proj.sell.b"].value if "proj.sell.b" in params else None, ms)
-        pairs = fusion_stack(proj_b, proj_s, params, mb, ms, config.interaction_degree, lead)
+        pairs = fusion_stack(
+            input_project(tb, params["proj.buy.w"].value,
+                          params["proj.buy.b"].value if "proj.buy.b" in params else None, mb),
+            input_project(ts, params["proj.sell.w"].value,
+                          params["proj.sell.b"].value if "proj.sell.b" in params else None, ms),
+            params, mb, ms, config.interaction_degree, lead)
         pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant, lead)
     return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
+
+
+def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -> np.ndarray:
+    """Forecasts for every row of ``batch`` in scaled space, (n, quantiles).
+
+    ``predict_batch`` over ``params.frozen()``, ``SCORE_CHUNK_ROWS`` rows at
+    a time, so scoring keeps no graph, leaves every gradient alone and holds
+    one chunk's activations at most. Each chunk trims its own dead leading
+    rows, so past one chunk the last bits can differ from a single pass;
+    up to one chunk the result is that pass's, bit for bit.
+    """
+    frozen = params.frozen()
+    step = SCORE_CHUNK_ROWS
+    return np.concatenate([
+        predict_batch(frozen, config, batch.buy[i:i + step], batch.sell[i:i + step],
+                      batch.mask_buy[i:i + step], batch.mask_sell[i:i + step]).data
+        for i in range(0, max(len(batch), 1), step)    # no rows: one empty chunk
+    ])
+
+
+def _mask_node(mask: np.ndarray) -> T.Tensor | None:
+    """``mask`` as a constant, or None where it is 1 everywhere (not merely
+    non-zero: the random variant holds other values)."""
+    return None if (mask == 1).all() else T.constant(mask)
 
 
 def _dead_lead(mask_buy: np.ndarray, mask_sell: np.ndarray) -> int:
@@ -511,7 +566,7 @@ def save_checkpoint(
     if extra:
         payload["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
+        fh.write(json.dumps(payload, sort_keys=True))   # json.dump never uses the C encoder
         fh.write("\n")
 
 

@@ -254,14 +254,17 @@ def swish(x: Tensor) -> Tensor:
 
     The sigmoid is built in the ``exp(-|x|)`` buffer and the output buffer
     holds ``1 + exp(-|x|)`` until the product overwrites it; the backward
-    pass uses one scratch array.
+    pass uses one scratch array. The numerator ``exp(min(x, 0))`` is 1 for
+    x >= 0 and ``exp(-|x|)`` otherwise, bit for bit, and a second ``exp`` is
+    cheaper than a masked copy.
     """
     d = x.data
     sig = np.abs(d)
     np.negative(sig, out=sig)
     np.exp(sig, out=sig)                        # e = exp(-|x|)
     data = np.add(sig, 1.0)                     # 1 + e
-    np.copyto(sig, 1.0, where=d >= 0)           # numerator: 1 for x >= 0, else e
+    np.minimum(d, 0.0, out=sig)
+    np.exp(sig, out=sig)                        # numerator: 1 for x >= 0, else e
     np.divide(sig, data, out=sig)
     np.multiply(d, sig, out=data)
 

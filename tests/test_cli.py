@@ -382,6 +382,17 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert any(key in message for message in errors), errors
 
+    @pytest.mark.parametrize("key", ["mlp_hidden_size", "epochs"])
+    def test_baseline_config_checked_before_parse(self, tmp_path, caplog, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(RUN_CONFIG + f"{key} = 0\n")
+        data = tmp_path / "trades.csv"
+        data.write_text("not a trade file\n")
+        assert dispatch(["baseline", "--variant", "vwap15", "--config", str(cfg),
+                         "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and key in errors[0], errors
+
     def test_zero_budget_is_usage_error(self, workspace, tmp_path):
         assert dispatch(["gridsearch", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),

@@ -1,12 +1,16 @@
+import io
+import json
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
+from orderfusion import model as M
 from orderfusion import tensor as T
 from orderfusion.market import Sample
 from orderfusion.model import (
+    SCORE_CHUNK_ROWS,
     ModelConfig,
     aggregate_and_pool,
     cross_attention_fuse,
@@ -19,6 +23,7 @@ from orderfusion.model import (
     param_count,
     predict_batch,
     save_checkpoint,
+    score_batch,
 )
 from orderfusion.market import RobustScaler
 from orderfusion.training import aql_loss
@@ -422,6 +427,126 @@ class TestDeadRowTrimming:
         assert rows and max(rows) <= cutoff < config.t_max
 
 
+def _nodes(monkeypatch, forward):
+    """``forward()``'s result and every op node it created, with or without
+    a graph."""
+    nodes = []
+    node = T._node
+
+    def recorded(*args):
+        nodes.append(node(*args))
+        return nodes[-1]
+
+    monkeypatch.setattr(T, "_node", recorded)
+    out = forward()
+    monkeypatch.setattr(T, "_node", node)
+    return out, nodes
+
+
+def _ops(monkeypatch, forward):
+    return len(_nodes(monkeypatch, forward)[1])
+
+
+class TestIdentityMask:
+    """A side whose trimmed mask is 1 everywhere gets no mask multiply."""
+
+    @pytest.mark.parametrize("mask_variant,cutoff_exponent", [("none", 2), ("dual", 3)])
+    @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
+    @pytest.mark.parametrize("aggregation_variant", ["residual", "concat"])
+    @pytest.mark.parametrize("fusion_variant", ["fusion", "no_fusion"])
+    def test_all_ones_bitwise_equal_to_explicit_masks(self, mask_variant, cutoff_exponent,
+                                                      pooling_variant, aggregation_variant,
+                                                      fusion_variant, monkeypatch):
+        # every sample fills all t_max rows, so under "dual" with
+        # 2**cutoff_exponent == t_max the masks are all ones as well
+        config = small_config(hidden_dim=5, interaction_degree=2, cutoff_exponent=cutoff_exponent,
+                              t_max=8, mask_variant=mask_variant, pooling_variant=pooling_variant,
+                              aggregation_variant=aggregation_variant, fusion_variant=fusion_variant)
+        rng = np.random.default_rng(89)
+        b = encode_samples([make_sample(rng, 8, 9), make_sample(rng, 12, 8)], config)
+        assert (b.mask_buy == 1).all() and (b.mask_sell == 1).all()
+        params = init_params(config)
+        arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        out, grads = _outputs_and_grads(lambda: predict_batch(params, config, *arrays),
+                                        params, b.labels, config.quantiles)
+        ref, ref_grads = _outputs_and_grads(lambda: _untrimmed(params, config, *arrays),
+                                            params, b.labels, config.quantiles)
+        assert out.tobytes() == ref.tobytes()
+        for name, g in ref_grads.items():
+            assert grads[name].tobytes() == g.tobytes(), name
+        skipped = 2 if fusion_variant == "no_fusion" else 2 + 2 * config.interaction_degree
+        assert (_ops(monkeypatch, lambda: _untrimmed(params, config, *arrays))
+                - _ops(monkeypatch, lambda: predict_batch(params, config, *arrays))) == skipped
+
+    def test_nonzero_mask_that_is_not_ones_is_applied(self, monkeypatch):
+        config = small_config(hidden_dim=5, interaction_degree=2, cutoff_exponent=3, t_max=8)
+        rng = np.random.default_rng(97)
+        b = encode_samples([make_sample(rng, 8, 8), make_sample(rng, 9, 10)], config)
+        params = init_params(config)
+        ones = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        scaled = (b.buy, b.sell, np.full_like(b.mask_buy, 0.5),
+                  rng.uniform(0.5, 1.5, size=b.mask_sell.shape))
+        out = predict_batch(params, config, *scaled)
+        assert out.data.tobytes() == _untrimmed(params, config, *scaled).data.tobytes()
+        assert (_ops(monkeypatch, lambda: predict_batch(params, config, *scaled))
+                == _ops(monkeypatch, lambda: _untrimmed(params, config, *scaled)))
+        assert not np.array_equal(out.data, predict_batch(params, config, *ones).data)
+
+
+class TestScoreBatch:
+    def _case(self, n, mask_variant="dual"):
+        # one sample with a full buy side comes first; the rest have at most
+        # 5 trades a side, so a chunk without the first sample trims more
+        config = small_config(hidden_dim=4, interaction_degree=2, cutoff_exponent=4, t_max=16,
+                              mask_variant=mask_variant)
+        rng = np.random.default_rng(101)
+        samples = [make_sample(rng, 16, 3)] + [
+            make_sample(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6))) for _ in range(n - 1)]
+        params = init_params(config)
+        for p in params:
+            p.value.data[...] = rng.normal(scale=0.8, size=p.value.data.shape)
+        return config, params, encode_samples(samples, config)
+
+    def test_records_no_graph_and_leaves_gradients(self, monkeypatch):
+        config, params, b = self._case(40)
+        for p in params:
+            p.value.grad[...] = np.random.default_rng(7).normal(size=p.grad.shape)
+        before = {p.name: p.grad.copy() for p in params}
+        out, nodes = _nodes(monkeypatch, lambda: score_batch(params, config, b))
+        assert isinstance(out, np.ndarray) and out.shape == (40, len(config.quantiles))
+        assert nodes and all(n._parents == () and n._backward is None for n in nodes)
+        for p in params:
+            assert p.grad.tobytes() == before[p.name].tobytes(), p.name
+
+    def test_frozen_view_shares_arrays(self):
+        config, params, _ = self._case(2)
+        frozen = params.frozen()
+        assert frozen.names == params.names
+        for p in params:
+            assert frozen[p.name].value.data is p.value.data
+            assert not frozen[p.name].value.requires_grad
+
+    @pytest.mark.parametrize("n", [1, 37, SCORE_CHUNK_ROWS])
+    def test_bitwise_up_to_one_chunk(self, n):
+        config, params, b = self._case(n)
+        ref = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data
+        assert score_batch(params, config, b).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
+    def test_chunks_agree_with_one_pass(self, mask_variant):
+        n = 2 * SCORE_CHUNK_ROWS + 100
+        config, params, b = self._case(n, mask_variant)
+        whole = M._dead_lead(b.mask_buy, b.mask_sell)
+        tail = slice(SCORE_CHUNK_ROWS, None)
+        assert M._dead_lead(b.mask_buy[tail], b.mask_sell[tail]) > whole
+        ref = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data
+        np.testing.assert_allclose(score_batch(params, config, b), ref, atol=1e-12, rtol=0)
+
+    def test_empty_batch(self):
+        config, params, _ = self._case(1)
+        assert score_batch(params, config, encode_samples([], config)).shape == (0, 7)
+
+
 class TestParamCount:
     def test_hand_counted_example(self):
         config = small_config(hidden_dim=4, interaction_degree=1, projection_bias=False)
@@ -480,6 +605,22 @@ class TestCheckpoint:
         path.write_text('{"magic": "SOMETHING.v9"}')
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_bytes_match_the_stream_encoder(self, tmp_path):
+        # ``json.dumps`` (C encoder) writes what ``json.dump`` (pure Python) did
+        config = small_config(seed=5)
+        params = init_params(config)
+        params["head.q50.w"].value.data[:, 0] = [5e-324, -0.0, 1 / 3, 1e300]
+        params["proj.buy.b"].value.data[0] = [-1e300, 0.1, 3 * 5e-324, -5e-324]
+        feat = RobustScaler(np.array([1 / 3, -0.0, 5e-324]), np.array([1e300, 1.0, 0.1]), 7)
+        path = tmp_path / "c.json"
+        save_checkpoint(path, config, params, feat, feat, extra={"best_epoch": 3})
+        reference = io.StringIO()
+        json.dump(json.loads(path.read_text(encoding="utf-8")), reference, sort_keys=True)
+        assert path.read_bytes() == (reference.getvalue() + "\n").encode("utf-8")
+        _, loaded, _, _, _ = load_checkpoint(path)
+        for p in params:
+            assert loaded[p.name].value.data.tobytes() == p.value.data.tobytes(), p.name
 
     def test_byte_identical_for_same_inputs(self, tmp_path):
         config = small_config(seed=5)
