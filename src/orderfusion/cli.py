@@ -388,14 +388,21 @@ def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
     return market_cfg
 
 
-def _score_checkpoint(run: Run):
-    """Forecast every delivery in ``--data`` with ``--checkpoint``. The
-    manifest records the checkpoint's seed, the one the forecasts come from."""
+def _read_checkpoint(run: Run):
+    """``load_checkpoint`` of ``--checkpoint``; unreadable is a data error.
+    The manifest records the checkpoint's seed, the one the forecasts come
+    from."""
     try:
-        config, params, feat, lab, extra = load_checkpoint(run.args.checkpoint)
+        checkpoint = load_checkpoint(run.args.checkpoint)
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{run.args.checkpoint}: unreadable checkpoint: {exc!r}") from exc
-    run.seed = config.seed
+    run.seed = checkpoint[0].seed
+    return checkpoint
+
+
+def _score_checkpoint(run: Run, checkpoint):
+    """Forecast every delivery in ``--data`` with a read checkpoint."""
+    config, params, feat, lab, extra = checkpoint
     _, samples, _ = _load_samples(run.args.data, _checkpoint_market(run, extra.get("market")))
     batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
     y_true = np.array([s.label for s in samples])
@@ -403,14 +410,18 @@ def _score_checkpoint(run: Run):
 
 
 def cmd_predict(run: Run):
-    config, batch, y_true, forecasts = _score_checkpoint(run)
+    config, batch, y_true, forecasts = _score_checkpoint(run, _read_checkpoint(run))
     pred_path = run.out / "predictions.csv"
     write_plot_csv(pred_path, batch.delivery_starts, y_true, forecasts, config.head_quantiles)
     return [pred_path]
 
 
 def cmd_evaluate(run: Run):
-    config, batch, y_true, forecasts = _score_checkpoint(run)
+    checkpoint = _read_checkpoint(run)
+    if checkpoint[0].head_variant == "single":      # before the parse
+        raise DataError(f"{run.args.checkpoint}: head_variant = single forecasts one quantile "
+                        "level, and evaluate's AQCR and AIW need the full set; use predict")
+    config, batch, y_true, forecasts = _score_checkpoint(run, checkpoint)
     report = evaluate_forecasts(y_true, forecasts, config.head_quantiles)
     report_path = run.out / "metrics.json"
     write_metric_report(report_path, report)

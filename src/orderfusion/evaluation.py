@@ -38,8 +38,9 @@ def aqcr(forecasts: np.ndarray) -> float:
     the count is averaged over samples and all C(q, 2) pairs, times 100.
     """
     forecasts = np.asarray(forecasts, dtype=np.float64)
-    if forecasts.ndim != 2 or forecasts.shape[0] == 0:
-        raise ValueError("aqcr needs a non-empty (n, q) forecast array")
+    if forecasts.ndim != 2 or forecasts.shape[0] == 0 or forecasts.shape[1] < 2:
+        raise ValueError(f"aqcr needs a non-empty (n, q) forecast array with q >= 2, "
+                         f"got shape {forecasts.shape}")
     n, q = forecasts.shape
     pairs = list(combinations(range(q), 2))
     crossings = 0

@@ -1,16 +1,22 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every forward op records its parents and a backward closure on the result
-node; calling :func:`backward` on a scalar replays the closures in reverse
+An op whose result needs a gradient gives it a graph record, a ``_Node``:
+the parents' gradient sinks and a backward closure. The record holds no
+value, and each closure keeps only the arrays its gradient formula reads,
+so an op output that no formula reads is freed as soon as the caller drops
+it. Calling :func:`backward` on a scalar replays the closures in reverse
 topological order. The engine is deliberately small: 2-D matrices plus an
-optional leading batch axis, float64 only, no views, no in-place forward
-ops. Forward computation is pure, so separate graphs can live on separate
-threads; a single graph must stay on one thread.
+optional leading batch axis, float64 only, no in-place forward ops. Op
+results are fresh arrays, except that ``transpose`` returns a ``swapaxes``
+view of its input; a tensor built from a float64 array shares it. Forward
+computation is pure, so separate graphs can live on separate threads; a
+single graph must stay on one thread.
 
 Only leaves keep gradients. A tensor created with ``requires_grad=True``
 owns a zero-filled ``grad`` buffer from birth; repeated ``backward`` calls
-keep adding into it until ``zero_grad`` is called. An interior node's
-``grad`` is ``None`` except during a backward pass, which frees it once used.
+keep adding into it until ``zero_grad`` is called. An op output's ``grad``
+is always ``None``: its gradient lives in its node during a backward pass,
+which frees it once used.
 """
 
 from __future__ import annotations
@@ -61,14 +67,13 @@ def _as_array(values) -> np.ndarray:
 class Tensor:
     """A float64 array plus the autodiff bookkeeping attached to it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "_node")
 
     def __init__(self, values, requires_grad: bool = False):
         self.data = _as_array(values)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.data) if requires_grad else None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -147,13 +152,37 @@ def _wrap(x) -> Tensor:
     return Tensor(x, requires_grad=False)
 
 
+class _Node:
+    """The graph record of one op output, without its value.
+
+    ``parents`` holds one gradient sink per operand: its ``_Node``, the
+    operand itself for a leaf, or None where no gradient is needed.
+    ``backward_fn(grad)`` returns one gradient per operand; ``backward``
+    drops those whose sink is None, so a closure may return None there.
+    """
+
+    __slots__ = ("parents", "backward_fn", "grad", "shape")
+
+    def __init__(self, parents: tuple, backward_fn, shape: tuple[int, ...]):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.grad: np.ndarray | None = None
+        self.shape = shape
+
+
+def _sink(t: Tensor) -> _Node | Tensor | None:
+    if t._node is not None:
+        return t._node
+    return t if t.requires_grad else None
+
+
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(p.requires_grad for p in parents)
     out.grad = None
-    out._parents = parents if out.requires_grad else ()
-    out._backward = backward_fn if out.requires_grad else None
+    sinks = tuple(_sink(p) for p in parents)
+    out.requires_grad = any(s is not None for s in sinks)
+    out._node = _Node(sinks, backward_fn, data.shape) if out.requires_grad else None
     return out
 
 
@@ -167,14 +196,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    """The only writer of ``.grad``; leaves add in place into their buffer."""
-    if t.requires_grad:
-        grad = _unbroadcast(grad, t.data.shape)
-        if t._parents:  # out of place: _add hands one array to both parents
-            t.grad = grad if t.grad is None else t.grad + grad
-        else:
-            t.grad += grad
+def _accumulate(sink: _Node | Tensor, grad: np.ndarray) -> None:
+    """The only writer of gradients; leaves add in place into their buffer."""
+    grad = _unbroadcast(grad, sink.shape)
+    if type(sink) is _Node:  # out of place: _add hands one array to both parents
+        sink.grad = grad if sink.grad is None else sink.grad + grad
+    else:
+        sink.grad += grad
 
 
 # ---------------------------------------------------------------------------
@@ -197,31 +225,30 @@ def _add(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_result(a, b, "add")
 
     def backward_fn(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        return g, g
 
     return _node(data, (a, b), backward_fn)
 
 
 def _sub(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_result(a, b, "sub")
+    b_grad = b.requires_grad
 
     def backward_fn(g):
-        _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
+        return g, (-g if b_grad else None)
 
     return _node(data, (a, b), backward_fn)
 
 
 def _mul(a: Tensor, b: Tensor) -> Tensor:
     data = _broadcast_result(a, b, "mul")
+    # each side's gradient reads the other operand: keep it only if needed
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.data)
-        if b.requires_grad:
-            _accumulate(b, g * a.data)
+        return (None if b_data is None else g * b_data,
+                None if a_data is None else g * a_data)
 
     return _node(data, (a, b), backward_fn)
 
@@ -233,8 +260,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     take_a = a.data >= b.data
 
     def backward_fn(g):
-        _accumulate(a, g * take_a)
-        _accumulate(b, g * ~take_a)
+        return g * take_a, g * ~take_a
 
     return _node(data, (a, b), backward_fn)
 
@@ -244,7 +270,7 @@ def abs_(x: Tensor) -> Tensor:
     sign = np.sign(x.data)
 
     def backward_fn(g):
-        _accumulate(x, g * sign)
+        return (g * sign,)
 
     return _node(np.abs(x.data), (x,), backward_fn)
 
@@ -275,7 +301,7 @@ def swish(x: Tensor) -> Tensor:
         np.add(1.0, s, out=s)
         np.multiply(sig, s, out=s)
         np.multiply(g, s, out=s)
-        _accumulate(x, s)
+        return (s,)
 
     return _node(data, (x,), backward_fn)
 
@@ -300,12 +326,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ra == 3 and rb == 3 and a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"matmul: batch sizes disagree, {a.shape} x {b.shape}")
     data = a.data @ b.data
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            _accumulate(a, g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
+        return (None if b_data is None else g @ np.swapaxes(b_data, -1, -2),
+                None if a_data is None else np.swapaxes(a_data, -1, -2) @ g)
 
     return _node(data, (a, b), backward_fn)
 
@@ -314,7 +340,7 @@ def transpose(x: Tensor) -> Tensor:
     """Swap the last two axes."""
 
     def backward_fn(g):
-        _accumulate(x, np.swapaxes(g, -1, -2))
+        return (np.swapaxes(g, -1, -2),)
 
     return _node(np.swapaxes(x.data, -1, -2), (x,), backward_fn)
 
@@ -349,7 +375,7 @@ def softmax_rows(x: Tensor, scale: float = 1.0, lead: int = 0) -> Tensor:
         np.subtract(g, inner, out=gx)
         np.multiply(gx, s, out=gx)
         np.multiply(gx, scale, out=gx)
-        _accumulate(x, gx)
+        return (gx,)
 
     return _node(s, (x,), backward_fn)
 
@@ -362,8 +388,7 @@ def concat_cols(a: Tensor, b: Tensor) -> Tensor:
     na = a.data.shape[-1]
 
     def backward_fn(g):
-        _accumulate(a, g[..., :na])
-        _accumulate(b, g[..., na:])
+        return g[..., :na], g[..., na:]
 
     return _node(np.concatenate([a.data, b.data], axis=-1), (a, b), backward_fn)
 
@@ -382,7 +407,7 @@ def mean_rows(x: Tensor, lead: int = 0) -> Tensor:
         data = data.reshape(1, -1)
 
     def backward_fn(g):
-        _accumulate(x, np.repeat(np.expand_dims(g / n, -2), t, axis=-2))
+        return (np.repeat(np.expand_dims(g / n, -2), t, axis=-2),)
 
     return _node(data, (x,), backward_fn)
 
@@ -395,6 +420,7 @@ def max_rows(x: Tensor, lead: int = 0) -> Tensor:
     those implicit rows (the first of them wins a tie at 0) and is dropped.
     """
     idx = np.expand_dims(x.data.argmax(axis=-2), -2)
+    shape = x.data.shape
     data = x.data.max(axis=-2)
     if lead:
         explicit_wins = np.expand_dims(data > 0.0, -2)
@@ -406,9 +432,9 @@ def max_rows(x: Tensor, lead: int = 0) -> Tensor:
         g = g.reshape(idx.shape)
         if lead:
             g = np.where(explicit_wins, g, 0.0)
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, idx, g, axis=-2)
-        _accumulate(x, gx)
+        return (gx,)
 
     return _node(data, (x,), backward_fn)
 
@@ -417,30 +443,32 @@ def sort_cols(x: Tensor) -> Tensor:
     """Sort each row ascending; the gradient follows the permutation."""
     order = np.argsort(x.data, axis=-1, kind="stable")
     data = np.take_along_axis(x.data, order, axis=-1)
+    shape = x.data.shape
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape)
         np.put_along_axis(gx, order, g, axis=-1)
-        _accumulate(x, gx)
+        return (gx,)
 
     return _node(data, (x,), backward_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Sum of all entries, as a 1x1 tensor."""
+    shape = x.data.shape
 
     def backward_fn(g):
-        _accumulate(x, np.full_like(x.data, g.reshape(())))
+        return (np.full(shape, g.reshape(())),)
 
     return _node(np.array([[x.data.sum()]]), (x,), backward_fn)
 
 
 def mean_all(x: Tensor) -> Tensor:
     """Mean of all entries, as a 1x1 tensor."""
-    n = x.data.size
+    shape, n = x.data.shape, x.data.size
 
     def backward_fn(g):
-        _accumulate(x, np.full_like(x.data, g.reshape(()) / n))
+        return (np.full(shape, g.reshape(()) / n),)
 
     return _node(np.array([[x.data.mean()]]), (x,), backward_fn)
 
@@ -455,17 +483,18 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a 1x1 scalar. Leaf gradients add into their buffers,
     so repeated calls accumulate one pass each; call ``zero_grad`` between
-    steps. Each interior gradient is freed as soon as its node's closure
-    consumes it, so every interior ``grad`` is ``None`` after the pass.
+    steps. Each node's gradient is freed as soon as its closure consumes
+    it, so no node holds a gradient after the pass.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    root = _sink(loss)
 
-    topo: list[Tensor] = []
+    topo: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)] if type(root) is _Node else []
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -475,12 +504,13 @@ def backward(loss: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if type(p) is _Node and id(p) not in seen:
                 stack.append((p, False))
 
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(root, np.ones_like(loss.data))
     for node in reversed(topo):
-        if node._backward is not None:
-            grad, node.grad = node.grad, None
-            node._backward(grad)
+        grad, node.grad = node.grad, None
+        for sink, g in zip(node.parents, node.backward_fn(grad)):
+            if sink is not None:
+                _accumulate(sink, g)

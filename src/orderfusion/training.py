@@ -173,10 +173,11 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
             params.zero_grad()
             # The previous step's graph lives until this assignment, on
             # purpose. Dropping it right after backward lowers the train_wide
-            # peak RSS 229 -> 217 MB but raises train_small wall time 1.30 ->
-            # 1.64 s (2 vCPUs, medians of 3 and 6 runs): glibc trims the freed
-            # top of the heap and the next step faults it back in (minor
-            # faults per train_small command 18k -> 132k).
+            # peak RSS 193 -> 177 MB but raises wall time, train_small 1.36 ->
+            # 1.46 s and train_wide 1.73 -> 1.86 s (2 vCPUs, medians of 8 and
+            # 6 runs): glibc trims the freed top of the heap and the next step
+            # faults it back in (minor faults per train_small command 32k ->
+            # 104k).
             loss = batch_loss(rows, rng)
             value = loss.item()
             if not math.isfinite(value):

@@ -410,6 +410,24 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("head_tau", ["0.9", "0.5"])
+    def test_evaluate_single_head_is_data_error(self, workspace, tmp_path, caplog, head_tau):
+        cfg = tmp_path / "single.cfg"
+        cfg.write_text(RUN_CONFIG + f"head_variant = single\nhead_tau = {head_tau}\n")
+        data = str(workspace / "data" / "trades.csv")
+        assert dispatch(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "m")]) == 0
+        checkpoint = str(tmp_path / "m" / "checkpoint.json")
+        caplog.clear()
+        assert dispatch(["evaluate", "--checkpoint", checkpoint, "--data", data,
+                         "--out", str(tmp_path / "e")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "head_variant = single" in errors[0]
+        assert "\n" not in errors[0]
+        assert not (tmp_path / "e" / "manifest.json").exists()
+        assert dispatch(["predict", "--checkpoint", checkpoint, "--data", data,
+                         "--out", str(tmp_path / "p")]) == 0
+
     def test_unknown_ablation_variant(self, workspace, tmp_path):
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),

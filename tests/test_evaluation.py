@@ -37,6 +37,11 @@ class TestAqcr:
         with pytest.raises(ValueError):
             aqcr(np.zeros((0, 7)))
 
+    def test_single_column_rejected(self):
+        # no ordered pair to count crossings over
+        with pytest.raises(ValueError, match="q >= 2"):
+            aqcr(np.zeros((5, 1)))
+
     def test_matches_pair_enumeration_oracle(self):
         rng = np.random.default_rng(3)
         forecasts = rng.normal(size=(40, 7))

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import weakref
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -410,20 +411,14 @@ class TestDeadRowTrimming:
         assert np.isfinite(out.data).all()
         np.testing.assert_array_equal(out.data, _untrimmed(params, config, *arrays).data)
 
-    def test_no_node_is_longer_than_the_cutoff(self):
+    def test_no_node_is_longer_than_the_cutoff(self, monkeypatch):
         # hidden_dim == cutoff, so the transposed keys (B, H, T) are held to it too
         config, params, b = self._case(n_max=30, hidden_dim=4)
         cutoff = 2 ** config.cutoff_exponent
-        pred = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
-        loss = aql_loss(pred, T.constant(b.labels), config.quantiles)
-        rows, stack, seen = [], [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen.add(id(node))
-                if node.data.ndim == 3:
-                    rows.append(max(node.data.shape[1:]))
-                stack.extend(node._parents)
+        _, nodes = _nodes(monkeypatch, lambda: aql_loss(
+            predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell),
+            T.constant(b.labels), config.quantiles))
+        rows = [max(n.data.shape[1:]) for n in nodes if n.data.ndim == 3]
         assert rows and max(rows) <= cutoff < config.t_max
 
 
@@ -493,6 +488,55 @@ class TestIdentityMask:
         assert not np.array_equal(out.data, predict_batch(params, config, *ones).data)
 
 
+class TestGraphMemory:
+    """The graph keeps only the arrays that backward formulas read."""
+
+    def test_only_backward_inputs_outlive_the_forward(self, monkeypatch):
+        config = small_config(hidden_dim=5, interaction_degree=2, cutoff_exponent=3, t_max=8)
+        rng = np.random.default_rng(103)
+        b = encode_samples([make_sample(rng, 8, 9), make_sample(rng, 12, 8)], config)
+        assert (b.mask_buy == 1).all() and (b.mask_sell == 1).all()
+        params = init_params(config)
+        kinds = {}
+        for p in params:
+            if p.name.startswith("proj.") and p.name.endswith(".w"):
+                kinds[id(p.value)] = "projection"     # x @ w, before + b
+            elif p.name.startswith("fuse"):
+                kinds[id(p.value)] = p.name.rsplit(".", 1)[1]
+        refs = {kind: [] for kind in ("projection", "wq", "wk", "wv", "logits", "softmax", "sum")}
+        matmul, softmax_rows, mean_rows = T.matmul, T.softmax_rows, T.mean_rows
+
+        def watched_matmul(a, w):
+            out = matmul(a, w)
+            if id(w) in kinds:
+                refs[kinds[id(w)]].append(weakref.ref(out.data))
+            return out
+
+        def watched_softmax_rows(x, *args):
+            out = softmax_rows(x, *args)
+            refs["logits"].append(weakref.ref(x.data))
+            refs["softmax"].append(weakref.ref(out.data))
+            return out
+
+        def watched_mean_rows(x, *args):
+            refs["sum"].append(weakref.ref(x.data))      # the residual sum
+            return mean_rows(x, *args)
+
+        monkeypatch.setattr(T, "matmul", watched_matmul)
+        monkeypatch.setattr(T, "softmax_rows", watched_softmax_rows)
+        monkeypatch.setattr(T, "mean_rows", watched_mean_rows)
+        loss = aql_loss(predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell),
+                        T.constant(b.labels), config.quantiles)
+        monkeypatch.undo()
+        assert [len(refs[k]) for k in refs] == [2, 4, 4, 4, 4, 4, 1]
+        for kind in ("projection", "logits", "sum"):
+            assert all(r() is None for r in refs[kind]), kind
+        for kind in ("wq", "wk", "wv", "softmax"):
+            assert all(r() is not None for r in refs[kind]), kind
+        T.backward(loss)
+        assert all(np.isfinite(p.grad).all() for p in params)
+
+
 class TestScoreBatch:
     def _case(self, n, mask_variant="dual"):
         # one sample with a full buy side comes first; the rest have at most
@@ -514,7 +558,7 @@ class TestScoreBatch:
         before = {p.name: p.grad.copy() for p in params}
         out, nodes = _nodes(monkeypatch, lambda: score_batch(params, config, b))
         assert isinstance(out, np.ndarray) and out.shape == (40, len(config.quantiles))
-        assert nodes and all(n._parents == () and n._backward is None for n in nodes)
+        assert nodes and all(n._node is None and not n.requires_grad for n in nodes)
         for p in params:
             assert p.grad.tobytes() == before[p.name].tobytes(), p.name
 

@@ -35,6 +35,18 @@ def assert_grad_close(analytic: np.ndarray, numeric: np.ndarray, rtol: float = 1
     assert rel.max() <= rtol, f"max rel err {rel.max():.3e}"
 
 
+def graph_nodes(loss: T.Tensor) -> list:
+    """Every ``_Node`` reachable from ``loss``."""
+    nodes, stack, seen = [], [loss._node], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(p for p in node.parents if type(p) is T._Node)
+    return nodes
+
+
 class TestMatmul:
     def test_identity(self):
         a = T.constant(np.eye(2))
@@ -409,18 +421,46 @@ class TestBackwardContract:
         pred = predict_batch(params, config, buy, sell, mask, mask)
         loss = aql_loss(pred, T.constant(rng.normal(size=(5, 1))), config.quantiles)
         T.backward(loss)
-        interior, stack, seen = [], [loss], set()
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen and node._parents:
-                seen.add(id(node))
-                interior.append(node)
-                stack.extend(node._parents)
-        assert len(interior) > 50
-        assert all(node.grad is None for node in interior)
+        nodes = graph_nodes(loss)
+        assert len(nodes) > 50
+        assert all(node.grad is None for node in nodes)
+        assert pred.grad is None and loss.grad is None
         grads = [p.grad for p in params]
         assert all(g is not None and np.isfinite(g).all() for g in grads)
         assert any(g.any() for g in grads)
+
+    @pytest.mark.parametrize("variant", [
+        {},
+        {"head_variant": "posthoc_sort", "aggregation_variant": "concat", "pooling_variant": "max"},
+        {"head_variant": "multi", "fusion_variant": "no_fusion"},
+        {"head_variant": "single", "aggregation_variant": "no_residual"},
+    ])
+    def test_no_node_holds_a_tensor(self, variant):
+        # a node keeps its parents' sinks (nodes or leaves) and its closure
+        # only arrays, so an op output no backward formula reads can be
+        # freed; masks that are not all ones keep the mask multiplies
+        rng = np.random.default_rng(53)
+        config = ModelConfig(hidden_dim=4, interaction_degree=2, cutoff_exponent=2, t_max=8,
+                             **variant)
+        params = init_params(config)
+        buy, sell = rng.normal(size=(2, 5, 8, 3))
+        mask_buy, mask_sell = rng.uniform(0.5, 1.5, size=(2, 5, 8, 1))
+        pred = predict_batch(params, config, buy, sell, mask_buy, mask_sell)
+        loss = T.sum_all(aql_loss(pred, T.constant(rng.normal(size=(5, 1))),
+                                  config.head_quantiles) * T.constant([[2.0]]))
+        nodes = graph_nodes(loss)
+        assert len(nodes) > 20
+        leaves = {id(p.value) for p in params}
+        for node in nodes:
+            for sink in node.parents:
+                assert sink is None or type(sink) is T._Node or id(sink) in leaves
+            for cell in node.backward_fn.__closure__ or ():
+                try:
+                    held = cell.cell_contents
+                except ValueError:      # a cell never assigned
+                    continue
+                items = held if isinstance(held, (tuple, list)) else (held,)
+                assert not any(isinstance(item, T.Tensor) for item in items), node.backward_fn
 
     def test_add_feeding_two_interior_nodes_matches_fd(self):
         # ``u + v`` hands one gradient array to both u and v, and each of them
