@@ -160,23 +160,20 @@ def lqr_fit(
     features: np.ndarray,
     targets: np.ndarray,
     quantiles=QUANTILES_DEFAULT,
-    l1: float = 0.0,
     iterations: int = 2000,
     lr: float = 1e-2,
 ) -> dict[float, tuple[np.ndarray, float]]:
     """Independent per-quantile pinball minimization by full-batch
     (sub)gradient descent from zero coefficients.
 
-    Expects standardized features. The l1 penalty applies only with more
-    than one feature column. Independence across levels means the fitted
-    quantiles can cross.
+    Expects standardized features. Independence across levels means the
+    fitted quantiles can cross.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     y = np.asarray(targets, dtype=np.float64).reshape(-1)
     n, d = x.shape
-    use_l1 = l1 > 0.0 and d > 1
     models: dict[float, tuple[np.ndarray, float]] = {}
     for tau in quantiles:
         w = np.zeros(d)
@@ -186,8 +183,6 @@ def lqr_fit(
             resid = y - pred
             grad_pred = np.where(resid >= 0, -tau, 1.0 - tau) / n
             grad_w = x.T @ grad_pred
-            if use_l1:
-                grad_w = grad_w + l1 * np.sign(w)
             grad_b = grad_pred.sum()
             w = w - lr * grad_w
             b = b - lr * grad_b

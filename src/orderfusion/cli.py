@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -92,6 +92,30 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
+_BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
+
+
+def _bool(text: str) -> bool:
+    if text.lower() not in _BOOLS:
+        raise ValueError("expected one of " + " ".join(_BOOLS))
+    return _BOOLS[text.lower()]
+
+
+# The cast of a config value, by the annotation of the dataclass field it
+# sets; a field whose annotation is not here (``quantiles``) is no key.
+_CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "datetime": parse_timestamp}
+
+# Each dataclass a config builds, with the prefix of its keys.
+_SECTIONS = ((ModelConfig, ""), (TrainConfig, ""), (SynthConfig, ""), (MLPConfig, "mlp_"))
+
+# Every key a config file may hold, whichever command reads it: one file
+# can serve train, ingest and baseline alike.
+CONFIG_KEYS = frozenset(
+    {prefix + f.name for cls, prefix in _SECTIONS for f in fields(cls) if f.type in _CASTS}
+    | {"seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
+       "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree"})
+
+
 def read_kv_config(path) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -101,78 +125,38 @@ def read_kv_config(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in CONFIG_KEYS:
+                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in out:
+                raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
+            out[key] = value
     return out
 
 
-def _get(cfg: dict, key: str, cast, default):
+def _get(cfg: dict, key: str, cast, default=None):
+    """``cast`` of the config value of ``key``, or ``default`` without one;
+    a value the cast rejects is a data error that names the key."""
     if key not in cfg:
         return default
     try:
-        if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes")
         return cast(cfg[key])
     except ValueError as exc:
         raise DataError(f"config key {key}={cfg[key]!r}: {exc}") from exc
 
 
-def _from_config(build, *args, key_prefix: str = "", **kwargs):
-    """``build(*args, **kwargs)`` on values read from a config file; a value
-    it rejects is a data error, with the message that names its field (whose
-    config key is ``key_prefix`` + the field name)."""
+def _config(cls, cfg: dict, prefix: str = "", **given):
+    """``cls`` built from the config keys ``prefix`` + field name, each cast
+    by its field's annotation, and from ``given``, which wins; a field with
+    neither keeps the dataclass default. A value ``cls`` rejects is a data
+    error, with the message that names its field."""
+    for f in fields(cls):
+        if f.name not in given and prefix + f.name in cfg and f.type in _CASTS:
+            given[f.name] = _get(cfg, prefix + f.name, _CASTS[f.type])
     try:
-        return build(*args, **kwargs)
+        return cls(**given)
     except ValueError as exc:
-        raise DataError(f"bad config value: {key_prefix}{exc}") from exc
-
-
-def model_config_from(cfg: dict, seed: int) -> ModelConfig:
-    return _from_config(
-        ModelConfig,
-        hidden_dim=_get(cfg, "hidden_dim", int, 8),
-        interaction_degree=_get(cfg, "interaction_degree", int, 2),
-        cutoff_exponent=_get(cfg, "cutoff_exponent", int, 4),
-        t_max=_get(cfg, "t_max", int, 32),
-        mask_variant=_get(cfg, "mask_variant", str, "dual"),
-        fusion_variant=_get(cfg, "fusion_variant", str, "fusion"),
-        aggregation_variant=_get(cfg, "aggregation_variant", str, "residual"),
-        pooling_variant=_get(cfg, "pooling_variant", str, "avg"),
-        head_variant=_get(cfg, "head_variant", str, "hierarchical"),
-        head_tau=_get(cfg, "head_tau", float, 0.50),
-        projection_bias=_get(cfg, "projection_bias", bool, True),
-        seed=seed,
-    )
-
-
-def train_config_from(cfg: dict, seed: int) -> TrainConfig:
-    return _from_config(
-        TrainConfig,
-        epochs=_get(cfg, "epochs", int, 50),
-        batch_size=_get(cfg, "batch_size", int, 512),
-        lr0=_get(cfg, "lr0", float, 7e-4),
-        decay=_get(cfg, "decay", float, 0.95),
-        seed=seed,
-    )
-
-
-def synth_config_from(cfg: dict, seed: int) -> SynthConfig:
-    kw = {"seed": seed}
-    casts = {
-        "n_days": int, "base_price": float, "vol_per_hour": float,
-        "vol_hour_amplitude": float, "anchor_vol": float, "anchor_reversion": float,
-        "seasonal_amplitude": float, "offset_sigma": float,
-        "jump_intensity_per_hour": float, "jump_size_mean": float,
-        "arrival_rate_per_min": float, "volume_lognorm_mu": float,
-        "volume_lognorm_sigma": float, "half_spread": float, "coupling": float,
-        "session_minutes": int,
-    }
-    for key, cast in casts.items():
-        if key in cfg:
-            kw[key] = _get(cfg, key, cast, None)
-    if "start" in cfg:
-        kw["start"] = parse_timestamp(cfg["start"])
-    return _from_config(SynthConfig, **kw)
+        raise DataError(f"bad config value: {prefix}{exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +220,10 @@ def _write_csv(path, header, rows):
 def _market_config(args, cfg: dict) -> MarketConfig:
     market = args.market or cfg.get("market", "DE")
     index = args.index or _get(cfg, "index", int, 1)
-    return _from_config(MarketConfig.for_market, market, index)
+    try:
+        return MarketConfig.for_market(market, index)
+    except ValueError as exc:
+        raise DataError(f"bad config value: {exc}") from exc
 
 
 def _load_samples(data_path, market_cfg: MarketConfig):
@@ -253,9 +240,11 @@ def _split_samples(samples, cfg: dict):
     """Chronological train/val/test split of ``build_dataset``'s samples
     (already in delivery order), by explicit boundary timestamps when the
     config gives them, else by fractions."""
-    if "train_end" in cfg and "val_end" in cfg:
-        train_end = parse_timestamp(cfg["train_end"])
-        val_end = parse_timestamp(cfg["val_end"])
+    train_end = _get(cfg, "train_end", parse_timestamp)
+    val_end = _get(cfg, "val_end", parse_timestamp)
+    if (train_end is None) != (val_end is None):
+        raise DataError("config keys train_end and val_end go together: give both or neither")
+    if train_end is not None:
         train = [s for s in samples if s.delivery_start < train_end]
         val = [s for s in samples if train_end <= s.delivery_start < val_end]
         test = [s for s in samples if s.delivery_start >= val_end]
@@ -273,12 +262,14 @@ def _split_samples(samples, cfg: dict):
 
 
 def _prepare_training(run: Run):
+    """The market, the scaled training and validation splits, the raw test
+    split and the scalers fitted on the training split."""
     market_cfg = _market_config(run.args, run.cfg)
     _, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, run.cfg)
     feature_scaler, label_scaler = fit_scaler(train_raw)
     scale = lambda group: [apply_scaler(s, feature_scaler, label_scaler) for s in group]
-    return market_cfg, scale(train_raw), scale(val_raw), scale(test_raw), feature_scaler, label_scaler
+    return market_cfg, scale(train_raw), scale(val_raw), test_raw, feature_scaler, label_scaler
 
 
 def _predictions_eur(params, config, batch, label_scaler):
@@ -297,7 +288,7 @@ def _result_row(model, fold, index, report, best_of_pair=""):
 
 
 def cmd_synth(run: Run):
-    synth_cfg = synth_config_from(run.cfg, run.seed)
+    synth_cfg = _config(SynthConfig, run.cfg, seed=run.seed)
     delta_c = _market_config(run.args, run.cfg).delta_c_minutes
     trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
@@ -314,8 +305,8 @@ def cmd_ingest(run: Run):
 
 
 def cmd_train(run: Run):
-    model_config = model_config_from(run.cfg, run.seed)
-    train_cfg = train_config_from(run.cfg, run.seed)
+    model_config = _config(ModelConfig, run.cfg, seed=run.seed)
+    train_cfg = _config(TrainConfig, run.cfg, seed=run.seed)
     market_cfg, train_s, val_s, _, feat, lab = _prepare_training(run)
 
     result = train(model_config, train_s, val_s, train_cfg)
@@ -335,8 +326,8 @@ def cmd_gridsearch(run: Run):
     cfg = run.cfg
     if run.args.budget is not None and run.args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {run.args.budget}")
-    base_config = model_config_from(cfg, run.seed)
-    train_cfg = train_config_from(cfg, run.seed)
+    base_config = _config(ModelConfig, cfg, seed=run.seed)
+    train_cfg = _config(TrainConfig, cfg, seed=run.seed)
     max_alpha = int(math.log2(base_config.t_max))
 
     def values(field, default):
@@ -371,12 +362,12 @@ def cmd_gridsearch(run: Run):
 
 
 def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
-    """The market a checkpoint was trained on. One saved without it falls
-    back to ``--market``/``--index`` and the config, as ``train`` resolves
-    them; flags that contradict a recorded market are a data error."""
+    """The market a checkpoint was trained on, as ``train`` records it. A
+    checkpoint that records none, or flags that contradict it, are a data
+    error."""
     args = run.args
     if recorded is None:
-        return _market_config(args, run.cfg)
+        raise DataError(f"{args.checkpoint}: records no market (extra.market)")
     market_cfg = MarketConfig(index_x=int(recorded["index"]),
                               delta_c_minutes=int(recorded["delta_c_minutes"]))
     if ((args.market and MarketConfig.for_market(args.market, 1).delta_c_minutes
@@ -439,11 +430,8 @@ def cmd_baseline(run: Run):
                          + " ".join([*NAIVE_BASELINES, *FEATURE_BASELINES]))
     market_cfg = _market_config(run.args, cfg)
     if variant in FEATURE_BASELINES:    # config errors before the parse
-        mlp_cfg = _from_config(MLPConfig, key_prefix="mlp_",
-                               hidden_size=_get(cfg, "mlp_hidden_size", int, 16),
-                               n_layers=_get(cfg, "mlp_n_layers", int, 2),
-                               dropout=_get(cfg, "mlp_dropout", float, 0.1))
-        train_cfg = train_config_from(cfg, run.seed)
+        mlp_cfg = _config(MLPConfig, cfg, "mlp_")
+        train_cfg = _config(TrainConfig, cfg, seed=run.seed)
     trades, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, cfg)
     if variant in NAIVE_BASELINES:
@@ -466,13 +454,13 @@ def cmd_ablate(run: Run):
     if variant not in ABLATION_VARIANTS:
         raise UsageError(f"unknown ablation variant {variant!r}; known: "
                          + " ".join(sorted(ABLATION_VARIANTS)))
-    model_config = model_config_from(run.cfg, run.seed)
-    train_cfg = train_config_from(run.cfg, run.seed)
-    market_cfg, train_s, val_s, test_s, _, lab = _prepare_training(run)
+    model_config = _config(ModelConfig, run.cfg, seed=run.seed)
+    train_cfg = _config(TrainConfig, run.cfg, seed=run.seed)
+    market_cfg, train_s, val_s, test_raw, feat, lab = _prepare_training(run)
 
     overrides = ABLATION_VARIANTS[variant]
     config = replace(model_config, **(overrides or {}))
-    test_batch = encode_samples(test_s, config)
+    test_batch = encode_samples([apply_scaler(s, feat, lab) for s in test_raw], config)
     if overrides is None:
         # one full model per quantile level, trained independently
         cols = []
@@ -487,7 +475,7 @@ def cmd_ablate(run: Run):
         result = train(config, train_s, val_s, train_cfg)
         forecasts = _predictions_eur(result.params, config, test_batch, lab)
 
-    y_true = lab.inverse(test_batch.labels).reshape(-1)
+    y_true = np.array([s.label for s in test_raw])
     report = evaluate_forecasts(y_true, forecasts, model_config.quantiles)
     log.info("ablate %s: AQL %.4f, AQCR %.2f%%", variant, report.aql, report.aqcr)
     return [_write_csv(run.out / "ablation_results.csv", RESULTS_HEADER,

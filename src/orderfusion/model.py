@@ -26,8 +26,7 @@ constant views of the parameters, so no graph is kept, in chunks of
 
 Ablation switches cover: mask variants, removing fusion entirely (pooled
 raw sides feed the heads), aggregation without the residual sum or with
-concatenation, max pooling, and the multi / single / post-hoc-sorted head
-alternatives.
+concatenation, max pooling, and the multi / single head alternatives.
 """
 
 from __future__ import annotations
@@ -71,7 +70,7 @@ QUANTILES_DEFAULT = (0.10, 0.25, 0.45, 0.50, 0.55, 0.75, 0.90)
 FUSION_VARIANTS = ("fusion", "no_fusion")
 AGGREGATION_VARIANTS = ("residual", "no_residual", "concat")
 POOLING_VARIANTS = ("avg", "max")
-HEAD_VARIANTS = ("hierarchical", "multi", "single", "posthoc_sort")
+HEAD_VARIANTS = ("hierarchical", "multi", "single")
 
 _INIT_STREAM = 101
 _MASK_STREAM = 202
@@ -82,10 +81,10 @@ SCORE_CHUNK_ROWS = 512
 
 @dataclass(frozen=True)
 class ModelConfig:
-    hidden_dim: int
+    hidden_dim: int = 8
     interaction_degree: int = 2
-    cutoff_exponent: int = 6
-    t_max: int = 128
+    cutoff_exponent: int = 4
+    t_max: int = 32
     quantiles: tuple = QUANTILES_DEFAULT
     mask_variant: str = "dual"
     fusion_variant: str = "fusion"
@@ -444,7 +443,6 @@ def hierarchical_head(
                   its neighbor, so outputs never cross
     multi         independent dense outputs, crossing possible
     single        one dense output for ``head_tau``
-    posthoc_sort  independent dense outputs sorted ascending
     """
 
     def dense(tau):
@@ -454,11 +452,11 @@ def hierarchical_head(
         return dense(head_tau)
 
     q = tuple(quantiles)
-    if head_variant in ("multi", "posthoc_sort"):
+    if head_variant == "multi":
         out = dense(q[0])
         for tau in q[1:]:
             out = T.concat_cols(out, dense(tau))
-        return T.sort_cols(out) if head_variant == "posthoc_sort" else out
+        return out
 
     if head_variant == "hierarchical":
         mid = q.index(0.50)

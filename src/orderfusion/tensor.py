@@ -38,7 +38,6 @@ __all__ = [
     "concat_cols",
     "mean_rows",
     "max_rows",
-    "sort_cols",
     "sum_all",
     "mean_all",
     "backward",
@@ -434,20 +433,6 @@ def max_rows(x: Tensor, lead: int = 0) -> Tensor:
             g = np.where(explicit_wins, g, 0.0)
         gx = np.zeros(shape)
         np.put_along_axis(gx, idx, g, axis=-2)
-        return (gx,)
-
-    return _node(data, (x,), backward_fn)
-
-
-def sort_cols(x: Tensor) -> Tensor:
-    """Sort each row ascending; the gradient follows the permutation."""
-    order = np.argsort(x.data, axis=-1, kind="stable")
-    data = np.take_along_axis(x.data, order, axis=-1)
-    shape = x.data.shape
-
-    def backward_fn(g):
-        gx = np.zeros(shape)
-        np.put_along_axis(gx, order, g, axis=-1)
         return (gx,)
 
     return _node(data, (x,), backward_fn)

@@ -39,6 +39,13 @@ __all__ = [
 
 _SHUFFLE_STREAM = 303
 
+# Adam's moment decays and denominator guard, and the staircase learning-rate
+# schedule's step length in epochs.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+DECAY_EVERY_EPOCHS = 10
+
 
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
@@ -50,10 +57,6 @@ class TrainConfig:
     batch_size: int = 512
     lr0: float = 7e-4
     decay: float = 0.95
-    decay_every_epochs: int = 10
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -108,7 +111,7 @@ def adam_step(params: ModelParams, state: OptimizerState, lr: float, cfg: TrainC
     """One bias-corrected Adam update from the gradients currently held."""
     state.step += 1
     t = state.step
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for p in params:
         g = p.value.grad
         m = state.first_moment[p.name]
@@ -119,14 +122,14 @@ def adam_step(params: ModelParams, state: OptimizerState, lr: float, cfg: TrainC
         v += (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:
-    """Staircase exponential decay every ``decay_every_epochs`` epochs."""
+    """Staircase exponential decay every ``DECAY_EVERY_EPOCHS`` epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
-    return cfg.lr0 * cfg.decay ** (epoch // cfg.decay_every_epochs)
+    return cfg.lr0 * cfg.decay ** (epoch // DECAY_EVERY_EPOCHS)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,18 @@ import csv
 import hashlib
 import json
 import logging
+import re
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from orderfusion import cli
 from orderfusion.cli import dispatch, read_kv_config
+from orderfusion.market import MarketConfig, build_dataset, parse_trades
+from orderfusion.model import ModelConfig
+from orderfusion.synth import SynthConfig
 
 RUN_CONFIG = """
 # tiny configuration for fast end-to-end runs
@@ -32,6 +38,13 @@ seed = 0
 """
 
 
+def with_keys(base: str, **keys) -> str:
+    """``base`` with each of ``keys`` set once: a line that already sets one
+    is dropped, since a config file may name a key only once."""
+    lines = [ln for ln in base.splitlines() if ln.split("=", 1)[0].strip() not in keys]
+    return "\n".join(lines + [f"{k} = {v}" for k, v in keys.items()]) + "\n"
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -44,8 +57,8 @@ def workspace(tmp_path_factory):
 
 def test_kv_config_parsing(tmp_path):
     path = tmp_path / "c.cfg"
-    path.write_text("a = 1\n# comment\nb = two  # trailing\n\n")
-    assert read_kv_config(path) == {"a": "1", "b": "two"}
+    path.write_text("seed = 1\n# comment\nmarket = AT  # trailing\n\n")
+    assert read_kv_config(path) == {"seed": "1", "market": "AT"}
 
 
 class TestSynthIngest:
@@ -121,8 +134,7 @@ class TestBaselineAblateReport:
         assert float(rows[0]["aqcr"]) == 0.0
 
     def test_feature_baseline_reports_both_learners(self, workspace):
-        cfg = workspace / "fast_baseline.cfg"
-        cfg.write_text(RUN_CONFIG + "\nepochs = 2\n")
+        cfg = workspace / "run.cfg"
         out = workspace / "vwap15"
         code = dispatch(["baseline", "--data", str(workspace / "data" / "trades.csv"),
                          "--config", str(cfg), "--variant", "vwap15", "--out", str(out)])
@@ -141,6 +153,23 @@ class TestBaselineAblateReport:
         with open(out / "ablation_results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["model"] == "reverse_mask"
+
+    def test_ablate_scores_raw_test_labels(self, tmp_path, monkeypatch):
+        # seed 24: one test label of this market does not survive the round
+        # trip through the label scaler (x -> (x - median) / iqr -> back)
+        (tmp_path / "synth.cfg").write_text(with_keys(SYNTH_CONFIG, seed=24))
+        (tmp_path / "run.cfg").write_text(RUN_CONFIG)
+        assert dispatch(["synth", "--config", str(tmp_path / "synth.cfg"),
+                         "--out", str(tmp_path / "data")]) == 0
+        data = tmp_path / "data" / "trades.csv"
+        scored, evaluate = [], cli.evaluate_forecasts
+        spy = lambda y_true, *rest: scored.append(y_true) or evaluate(y_true, *rest)
+        monkeypatch.setattr(cli, "evaluate_forecasts", spy)
+        assert dispatch(["ablate", "--config", str(tmp_path / "run.cfg"), "--data", str(data),
+                         "--variant", "dual_mask", "--out", str(tmp_path / "o")]) == 0
+        samples, _ = build_dataset(parse_trades(data), MarketConfig.for_market("DE", 1))
+        test = samples[int(len(samples) * 0.85):]
+        np.testing.assert_array_equal(scored[0], [s.label for s in test])
 
     def test_report_aggregates(self, workspace):
         out = workspace / "report"
@@ -299,14 +328,19 @@ class TestCheckpointMarket:
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--out", str(out), *flags])
 
-    def test_no_market_falls_back_to_flags(self, workspace, checkpoints, tmp_path):
-        assert self.evaluate(workspace, checkpoints / "at.json", tmp_path / "recorded") == 0
-        assert self.evaluate(workspace, checkpoints / "no_market.json", tmp_path / "flag",
-                             "--market", "AT") == 0
+    def test_recorded_market_is_scored(self, workspace, checkpoints, tmp_path):
+        assert self.evaluate(workspace, checkpoints / "at.json", tmp_path / "at") == 0
         assert self.evaluate(workspace, checkpoints / "checkpoint.json", tmp_path / "de") == 0
-        at = (tmp_path / "recorded" / "predictions.csv").read_bytes()
-        assert (tmp_path / "flag" / "predictions.csv").read_bytes() == at
-        assert (tmp_path / "de" / "predictions.csv").read_bytes() != at
+        assert ((tmp_path / "at" / "predictions.csv").read_bytes()
+                != (tmp_path / "de" / "predictions.csv").read_bytes())
+
+    @pytest.mark.parametrize("flags", [[], ["--market", "AT"]])
+    def test_no_market_is_data_error(self, workspace, checkpoints, tmp_path, caplog, flags):
+        assert self.evaluate(workspace, checkpoints / "no_market.json", tmp_path / "o",
+                             *flags) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "records no market" in errors[0], errors
 
     @pytest.mark.parametrize("flags", [["--market", "AT"], ["--index", "2"]])
     def test_flags_contradicting_recorded_market(self, workspace, checkpoints, tmp_path, flags):
@@ -334,7 +368,7 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numerical_failure(self, workspace, tmp_path):
         cfg = tmp_path / "diverge.cfg"
-        cfg.write_text(RUN_CONFIG + "\nlr0 = 1e160\nepochs = 6\n")
+        cfg.write_text(with_keys(RUN_CONFIG, lr0="1e160", epochs=6))
         assert dispatch(["train", "--config", str(cfg),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--out", str(tmp_path / "o")]) == 3
@@ -368,10 +402,13 @@ class TestExitCodes:
         ("baseline", "epochs", "0"), ("baseline", "batch_size", "0"),
         ("baseline", "mlp_hidden_size", "0"), ("baseline", "mlp_dropout", "1.0"),
         ("baseline", "mlp_dropout", "-0.5"), ("baseline", "mlp_n_layers", "-1"),
+        ("train", "projection_bias", "ture"), ("synth", "start", "yesterday"),
+        ("train", "train_end", "soon"), ("train", "train_end", "2024-01-03T00:00:00Z"),
+        ("baseline", "val_end", "2024-01-04T00:00:00Z"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text((SYNTH_CONFIG if command == "synth" else RUN_CONFIG) + f"{key} = {value}\n")
+        cfg.write_text(with_keys(SYNTH_CONFIG if command == "synth" else RUN_CONFIG, **{key: value}))
         argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
         if command != "synth":
             argv += ["--data", str(workspace / "data" / "trades.csv")]
@@ -385,7 +422,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", ["mlp_hidden_size", "epochs"])
     def test_baseline_config_checked_before_parse(self, tmp_path, caplog, key):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(RUN_CONFIG + f"{key} = 0\n")
+        cfg.write_text(with_keys(RUN_CONFIG, **{key: 0}))
         data = tmp_path / "trades.csv"
         data.write_text("not a trade file\n")
         assert dispatch(["baseline", "--variant", "vwap15", "--config", str(cfg),
@@ -432,3 +469,70 @@ class TestExitCodes:
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--variant", "bogus", "--out", str(tmp_path / "o")]) == 1
+
+
+PARENT_KEYS = {
+    # model
+    "hidden_dim", "interaction_degree", "cutoff_exponent", "t_max", "mask_variant",
+    "fusion_variant", "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
+    "projection_bias",
+    # training
+    "epochs", "batch_size", "lr0", "decay",
+    # synthetic market
+    "n_days", "start", "base_price", "vol_per_hour", "vol_hour_amplitude", "anchor_vol",
+    "anchor_reversion", "seasonal_amplitude", "offset_sigma", "jump_intensity_per_hour",
+    "jump_size_mean", "arrival_rate_per_min", "volume_lognorm_mu", "volume_lognorm_sigma",
+    "half_spread", "coupling", "session_minutes",
+    # MLP baseline
+    "mlp_hidden_size", "mlp_n_layers", "mlp_dropout",
+    # run, split and grid
+    "seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
+    "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree",
+}
+
+
+def readme_config_block() -> str:
+    """The fenced block that follows README's 'Run configuration files'."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    after = text.split("Run configuration files", 1)[1]
+    return after.split("```", 2)[1].split("\n", 1)[1]
+
+
+class TestConfigSchema:
+    def test_accepted_keys(self):
+        assert cli.CONFIG_KEYS == PARENT_KEYS
+
+    def test_readme_lists_every_key_with_its_default(self, tmp_path):
+        block = readme_config_block()
+        named = {m[1] for m in re.finditer(r"^#? ?([a-z_0-9]+) *=", block, re.MULTILINE)}
+        assert named == cli.CONFIG_KEYS
+        path = tmp_path / "readme.cfg"
+        path.write_text(block)
+        cfg = read_kv_config(path)
+        for cls, prefix in cli._SECTIONS:
+            assert cli._config(cls, cfg, prefix) == cls(), cls
+
+    @pytest.mark.parametrize("text, value", [
+        ("1", True), ("yes", True), ("True", True), ("0", False), ("no", False), ("FALSE", False),
+    ])
+    def test_bool_values(self, text, value):
+        assert cli._config(ModelConfig, {"projection_bias": text}).projection_bias is value
+
+    def test_timestamp_value(self):
+        config = cli._config(SynthConfig, {"start": "2024-03-01T00:00:00Z", "seed": "5"}, seed=2)
+        assert config.start == datetime(2024, 3, 1, tzinfo=timezone.utc)
+        assert config.seed == 2
+
+    @pytest.mark.parametrize("line", ["hiden_dim = 4", "sed = 5", "epochs = 3"],
+                             ids=["misspelt", "misspelt_seed", "repeated"])
+    def test_unknown_or_repeated_key_is_data_error(self, workspace, tmp_path, caplog, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(RUN_CONFIG + line + "\n")
+        assert dispatch(["train", "--config", str(cfg),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        where = f"{cfg}:{len(RUN_CONFIG.splitlines()) + 1}:"
+        key = line.split()[0]
+        assert len(errors) == 1 and where in errors[0] and repr(key) in errors[0], errors

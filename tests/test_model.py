@@ -250,15 +250,6 @@ class TestHierarchicalHead:
         out = hierarchical_head(pooled, params, "hierarchical", config.quantiles)
         assert (np.diff(out.data, axis=1) >= 0).all()
 
-    def test_posthoc_sort_is_sorted_multi(self):
-        rng = np.random.default_rng(41)
-        config = small_config(head_variant="multi")
-        params = init_params(config)
-        pooled = T.constant(rng.normal(size=(50, 4)))
-        multi = hierarchical_head(pooled, params, "multi", config.quantiles)
-        sorted_out = hierarchical_head(pooled, params, "posthoc_sort", config.quantiles)
-        np.testing.assert_array_equal(np.sort(multi.data, axis=1), sorted_out.data)
-
     def test_single_head_width(self):
         config = small_config(head_variant="single", head_tau=0.25)
         params = init_params(config)

@@ -359,14 +359,6 @@ class TestReductionsAndShaping:
         assert_grad_close(ta.grad, fd_grad(lambda: run()[2].item(), a))
         assert_grad_close(tb.grad, fd_grad(lambda: run()[2].item(), b))
 
-    def test_sort_cols_values_and_grad(self):
-        x = T.Tensor([[3.0, 1.0, 2.0]], requires_grad=True)
-        out = T.sort_cols(x)
-        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0]])
-        T.backward(T.sum_all(out * T.constant([[1.0, 10.0, 100.0]])))
-        # position of 3.0 receives the weight of the last sorted slot
-        np.testing.assert_array_equal(x.grad, [[100.0, 1.0, 10.0]])
-
 
 class TestBackwardContract:
     def test_linear_map_gradient_exact(self):
@@ -431,7 +423,7 @@ class TestBackwardContract:
 
     @pytest.mark.parametrize("variant", [
         {},
-        {"head_variant": "posthoc_sort", "aggregation_variant": "concat", "pooling_variant": "max"},
+        {"head_variant": "multi", "aggregation_variant": "concat", "pooling_variant": "max"},
         {"head_variant": "multi", "fusion_variant": "no_fusion"},
         {"head_variant": "single", "aggregation_variant": "no_residual"},
     ])

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderfusion import tensor as T
+from orderfusion import training
 from orderfusion.evaluation import aql
 from orderfusion.market import Sample
 from orderfusion.model import ModelConfig, encode_samples, init_params, predict_batch
@@ -230,11 +231,12 @@ class TestTrainLoop:
         pred = predict_batch(result.params, self.CONFIG, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
         assert aql(batch.labels, pred.data, self.CONFIG.quantiles) == pytest.approx(result.best_val_aql)
 
-    def test_golden_history(self):
+    def test_golden_history(self, monkeypatch):
         """Pinned per-epoch losses, so that a change in the shuffle or the
         schedule shows: four batches an epoch, a decay step every 2 epochs."""
+        monkeypatch.setattr(training, "DECAY_EVERY_EPOCHS", 2)
         train_s, val_s = self._data()
-        cfg = TrainConfig(epochs=4, batch_size=64, lr0=1e-2, decay=0.5, decay_every_epochs=2, seed=7)
+        cfg = TrainConfig(epochs=4, batch_size=64, lr0=1e-2, decay=0.5, seed=7)
         result = train(self.CONFIG, train_s, val_s, cfg)
         golden = [(0.11934949277568688, 0.1057630613912942),
                   (0.1042756524981852, 0.10137323870514323),
