@@ -1,8 +1,9 @@
 """Reference forecasters: naive rules, 1-D trade features, LQR, and an MLP.
 
-The naive family forecasts from past labels alone and turns point
-forecasts probabilistic by adding hour-of-day residual percentiles fitted
-on training data, which makes them fully deterministic. The feature
+The naive family forecasts from past labels alone, reading only labels
+already published at the forecast time, and turns point forecasts
+probabilistic by adding hour-of-day residual percentiles fitted on
+training data, which makes them fully deterministic. The feature
 baselines compress the trade stream into one number (recent VWAP or last
 price) and fit per-quantile linear models or a shared multi-quantile MLP.
 ``naive_baseline`` and ``feature_baseline`` run each family's protocol on
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .evaluation import MetricReport, aql, evaluate_forecasts
-from .market import RobustScaler, Sample, Trades, delivery_slices, window_vwap
+from .market import MarketConfig, RobustScaler, Sample, Trades, delivery_slices, window_vwap
 from .model import ModelParams, QUANTILES_DEFAULT, _glorot
 from .training import DivergenceError, TrainConfig, _fit, aql_loss
 
@@ -66,24 +67,32 @@ class LabelHistory:
     def get(self, delivery: datetime) -> float | None:
         return self._labels.get(delivery)
 
-    def most_recent_before(self, delivery: datetime) -> float | None:
-        i = bisect.bisect_left(self._sorted, delivery)
+    def latest_until(self, delivery: datetime) -> float | None:
+        """Label of the latest delivery starting at or before ``delivery``."""
+        i = bisect.bisect_right(self._sorted, delivery)
         if i == 0:
             return None
         return self._labels[self._sorted[i - 1]]
 
 
-def naive_point(history: LabelHistory | dict, delivery: datetime, variant: str) -> float | None:
-    """Point forecast from past labels; None when the history is missing.
+def naive_point(history: LabelHistory | dict, delivery: datetime, variant: str,
+                market: MarketConfig) -> float | None:
+    """Point forecast from the labels published at the target's forecast
+    time; None when the history is missing.
 
-    prev_hour           label of the most recent delivery before the target
+    A label is published when its index window closes, delta_c before its
+    delivery, and the forecast is made one lead time before the target, so
+    only deliveries starting lead - delta_c or more before the target count.
+
+    prev_hour           label of the most recent such delivery
     prev_day_same_hour  label exactly 24 hours earlier
     mean3_same_hour     mean of the labels 24, 48 and 72 hours earlier
     """
     if not isinstance(history, LabelHistory):
         history = LabelHistory(history)
     if variant == "prev_hour":
-        return history.most_recent_before(delivery)
+        lag = timedelta(minutes=market.lead_minutes - market.delta_c_minutes)
+        return history.latest_until(delivery - lag)
     if variant == "prev_day_same_hour":
         return history.get(delivery - timedelta(days=1))
     if variant == "mean3_same_hour":
@@ -102,13 +111,14 @@ class ResidualQuantiles:
     per_hour: dict[int, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def fit(cls, train_labels: dict[datetime, float], variant: str, quantiles=QUANTILES_DEFAULT):
+    def fit(cls, train_labels: dict[datetime, float], variant: str, market: MarketConfig,
+            quantiles=QUANTILES_DEFAULT):
         """Residuals of the naive rule on the training period, grouped by
         delivery hour; each group's percentiles use linear interpolation."""
         history = LabelHistory(train_labels)
         grouped: dict[int, list[float]] = {}
         for delivery in sorted(train_labels):
-            point = naive_point(history, delivery, variant)
+            point = naive_point(history, delivery, variant, market)
             if point is None:
                 continue
             grouped.setdefault(delivery.hour, []).append(train_labels[delivery] - point)
@@ -300,22 +310,25 @@ def mlp_fit(
 
 
 def naive_baseline(
-    name: str, fit: list[Sample], test: list[Sample], quantiles=QUANTILES_DEFAULT,
+    name: str, fit: list[Sample], test: list[Sample], market: MarketConfig,
+    quantiles=QUANTILES_DEFAULT,
 ) -> list[tuple[str, MetricReport, str]]:
     """Score a naive baseline (a key of ``NAIVE_BASELINES``) on ``test``.
 
     Residual percentiles are fitted on the labels of ``fit`` (training plus
-    validation samples); point forecasts read every label before the target
-    delivery. Test deliveries without the rule's history, or whose hour has
-    no fitted residuals, are skipped. Returns one ``(name, report, "")``
-    result row, or no row when every test delivery was skipped.
+    validation samples); point forecasts read every label of ``market``
+    published by the target's forecast time. Test deliveries without the
+    rule's history, or whose hour has no fitted residuals, are skipped.
+    Returns one ``(name, report, "")`` result row, or no row when every test
+    delivery was skipped.
     """
     rule = NAIVE_BASELINES[name]
-    residuals = ResidualQuantiles.fit({s.delivery_start: s.label for s in fit}, rule, quantiles)
+    residuals = ResidualQuantiles.fit({s.delivery_start: s.label for s in fit}, rule, market,
+                                      quantiles)
     history = LabelHistory({s.delivery_start: s.label for s in fit + test})
     truth, forecasts = [], []
     for s in test:
-        point = naive_point(history, s.delivery_start, rule)
+        point = naive_point(history, s.delivery_start, rule, market)
         if point is None or s.delivery_start.hour not in residuals.per_hour:
             continue
         forecasts.append(naive_probabilistic(residuals, point, s.delivery_start.hour))
@@ -342,9 +355,9 @@ def feature_baseline(
     robust-scaled on the training split, then LQR and the MLP (trained with
     ``train_cfg``, validated on ``val``) are fitted. Returns the rows
     ``(f"{name}_lqr", report, best)`` and ``(f"{name}_mlp", report, best)``,
-    ``best`` being "yes" for the learner with the lower test AQL (LQR on a
-    tie) and "no" for the other; no rows when the training, validation or
-    test split yields no feature.
+    ``best`` being "yes" for the learner with the lower validation AQL in
+    EUR/MWh (LQR on a tie) and "no" for the other; no rows when the
+    training, validation or test split yields no feature.
     """
     feature_fn = feature_vwap15 if name == "vwap15" else feature_last_price
     deliveries, parts = delivery_slices(trades)
@@ -370,11 +383,12 @@ def feature_baseline(
     ys = lambda y: lscaler.transform(y.reshape(-1, 1)).reshape(-1)
 
     lqr_models = lqr_fit(xs(x_train), ys(y_train), quantiles)
-    lqr_report = evaluate_forecasts(
-        y_test, lscaler.inverse(lqr_predict(lqr_models, xs(x_test))), quantiles)
     mlp_model = mlp_fit(xs(x_train), ys(y_train), xs(x_val), ys(y_val), train_cfg, mlp_cfg,
                         quantiles)
-    mlp_report = evaluate_forecasts(y_test, lscaler.inverse(mlp_model.predict(xs(x_test))), quantiles)
-    lqr_best = lqr_report.aql <= mlp_report.aql
-    return [(f"{name}_lqr", lqr_report, "yes" if lqr_best else "no"),
-            (f"{name}_mlp", mlp_report, "no" if lqr_best else "yes")]
+    lqr_eur = lambda x: lscaler.inverse(lqr_predict(lqr_models, xs(x)))
+    mlp_eur = lambda x: lscaler.inverse(mlp_model.predict(xs(x)))
+    lqr_best = aql(y_val, lqr_eur(x_val), quantiles) <= aql(y_val, mlp_eur(x_val), quantiles)
+    return [(f"{name}_lqr", evaluate_forecasts(y_test, lqr_eur(x_test), quantiles),
+             "yes" if lqr_best else "no"),
+            (f"{name}_mlp", evaluate_forecasts(y_test, mlp_eur(x_test), quantiles),
+             "no" if lqr_best else "yes")]

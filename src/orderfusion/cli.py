@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, fields, replace
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from .model import (
     score_batch,
 )
 from .synth import SynthConfig, write_market
-from .training import DivergenceError, TrainConfig, grid_search, train
+from .training import DivergenceError, FoldSpec, TrainConfig, grid_search, train
 
 log = logging.getLogger("orderfusion")
 
@@ -238,23 +239,26 @@ def _load_samples(data_path, market_cfg: MarketConfig):
 
 def _split_samples(samples, cfg: dict):
     """Chronological train/val/test split of ``build_dataset``'s samples
-    (already in delivery order), by explicit boundary timestamps when the
-    config gives them, else by fractions."""
+    (one per delivery, in delivery order) at two delivery boundaries: the
+    config's ``train_end`` and ``val_end`` when it gives them, else the
+    deliveries that start the validation and test fractions."""
     train_end = _get(cfg, "train_end", parse_timestamp)
     val_end = _get(cfg, "val_end", parse_timestamp)
     if (train_end is None) != (val_end is None):
         raise DataError("config keys train_end and val_end go together: give both or neither")
-    if train_end is not None:
-        train = [s for s in samples if s.delivery_start < train_end]
-        val = [s for s in samples if train_end <= s.delivery_start < val_end]
-        test = [s for s in samples if s.delivery_start >= val_end]
-    else:
+    first, last = (t.replace(tzinfo=timezone.utc) for t in (datetime.min, datetime.max))
+    if train_end is None:
         train_frac = _get(cfg, "train_frac", float, 0.70)
         val_frac = _get(cfg, "val_frac", float, 0.15)
+        if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0 and train_frac + val_frac < 1.0):
+            raise DataError(f"config keys train_frac = {train_frac} and val_frac = {val_frac}: "
+                            "each must lie in (0, 1), and their sum below 1")
         n = len(samples)
-        i = int(n * train_frac)
-        j = int(n * (train_frac + val_frac))
-        train, val, test = samples[:i], samples[i:j], samples[j:]
+        cut = lambda k: samples[k].delivery_start if k < n else last
+        train_end, val_end = cut(int(n * train_frac)), cut(int(n * (train_frac + val_frac)))
+    fold = FoldSpec(train_range=(first, train_end), val_range=(train_end, val_end),
+                    test_range=(val_end, last))
+    train, val, test = fold.split(samples)
     if not train or not val or not test:
         raise DataError(
             f"degenerate split: {len(train)} train / {len(val)} val / {len(test)} test samples")
@@ -435,7 +439,7 @@ def cmd_baseline(run: Run):
     trades, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, cfg)
     if variant in NAIVE_BASELINES:
-        rows = naive_baseline(variant, train_raw + val_raw, test_raw)
+        rows = naive_baseline(variant, train_raw + val_raw, test_raw, market_cfg)
     else:
         rows = feature_baseline(variant, trades, train_raw, val_raw, test_raw, train_cfg, mlp_cfg)
     if not rows:

@@ -58,7 +58,6 @@ __all__ = [
     "predict_batch",
     "score_batch",
     "SCORE_CHUNK_ROWS",
-    "param_count",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -242,19 +241,6 @@ def init_params(config: ModelConfig) -> ModelParams:
     return params
 
 
-def param_count(config: ModelConfig) -> int:
-    """Number of trainable scalars the config registers."""
-    dim = config.hidden_dim
-    n = 0
-    if config.fusion_variant == "fusion":
-        n += 2 * 3 * dim
-        if config.projection_bias:
-            n += 2 * dim
-        n += 2 * config.interaction_degree * 3 * dim * dim
-    n += len(config.head_quantiles) * (config.head_width + 1)
-    return n
-
-
 # ---------------------------------------------------------------------------
 # encoding scaled samples into fixed-shape arrays
 # ---------------------------------------------------------------------------
@@ -276,28 +262,26 @@ class EncodedBatch:
 
 
 def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
-    """Pad and mask scaled samples into stacked arrays.
+    """Pad and mask scaled samples into stacked arrays, a whole side per call.
 
-    Random-mask draws derive from the config seed, one stream for the whole
-    batch (buy side, then sell side, sample by sample), so encoding is
-    deterministic per (samples, config).
+    Random-mask draws derive from the config seed, one (n, 2, t_max) draw
+    for the whole batch (sample by sample, buy side then sell side), so
+    encoding is deterministic per (samples, config).
     """
-    rng = None
+    n, t_max, alpha = len(samples), config.t_max, config.cutoff_exponent
+    draws = (None, None)
     if config.mask_variant == "random":
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _MASK_STREAM]))
-    buys, sells, mbs, mss = [], [], [], []
-    for s in samples:
-        for rows, sides, masks in ((s.buy_matrix, buys, mbs), (s.sell_matrix, sells, mss)):
-            padded = pad_side(rows, config.t_max)
-            sides.append(padded.matrix)
-            masks.append(build_dual_mask(padded, config.cutoff_exponent, config.mask_variant, rng).combined)
-    n = len(samples)
-    shape = (n, config.t_max, 3)
+        draws = rng.uniform(0.0, 1.0, size=(n, 2, t_max)).transpose(1, 0, 2)
+    buy, valid_buy = pad_side([s.buy_matrix for s in samples], t_max)
+    sell, valid_sell = pad_side([s.sell_matrix for s in samples], t_max)
+    mask_buy = build_dual_mask(valid_buy, t_max, alpha, config.mask_variant, draws[0]).combined
+    mask_sell = build_dual_mask(valid_sell, t_max, alpha, config.mask_variant, draws[1]).combined
     return EncodedBatch(
-        buy=np.array(buys).reshape(shape),
-        sell=np.array(sells).reshape(shape),
-        mask_buy=np.array(mbs).reshape(n, config.t_max, 1),
-        mask_sell=np.array(mss).reshape(n, config.t_max, 1),
+        buy=buy,
+        sell=sell,
+        mask_buy=mask_buy.reshape(n, t_max, 1),
+        mask_sell=mask_sell.reshape(n, t_max, 1),
         labels=np.array([s.label for s in samples], dtype=np.float64).reshape(n, 1),
         delivery_starts=[s.delivery_start for s in samples],
     )

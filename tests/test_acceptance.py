@@ -48,6 +48,7 @@ def _report(name: str, ok: bool, detail: str = ""):
 # ---------------------------------------------------------------------------
 
 MARKET_MODEL = ModelConfig(hidden_dim=8, interaction_degree=1, cutoff_exponent=4, t_max=32, seed=0)
+MARKET_CFG = MarketConfig(index_x=1, delta_c_minutes=30)
 LEARNABILITY_SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -58,8 +59,7 @@ def market():
     synth_cfg = SynthConfig(seed=11, n_days=260, arrival_rate_per_min=0.15,
                             session_minutes=240, vol_hour_amplitude=0.5)
     trades, _, _ = gen_market(synth_cfg, delta_c_minutes=30, indices=(1,))
-    market_cfg = MarketConfig(index_x=1, delta_c_minutes=30)
-    samples, _ = build_dataset(trades, market_cfg)
+    samples, _ = build_dataset(trades, MARKET_CFG)
     ordered = sorted(samples, key=lambda s: s.delivery_start)
     assert len(ordered) >= 5000
     n = len(ordered)
@@ -106,10 +106,10 @@ def _trained_forecasts(market, run_cache, seed: int, mask_variant: str):
 def _naive1_forecasts(market):
     train_labels = {s.delivery_start: s.label for s in market["train_raw"] + market["val_raw"]}
     all_labels = {s.delivery_start: s.label for s in market["all_raw"]}
-    residuals = ResidualQuantiles.fit(train_labels, "prev_hour", QUANTILES)
+    residuals = ResidualQuantiles.fit(train_labels, "prev_hour", MARKET_CFG, QUANTILES)
     forecasts, truth = [], []
     for s in market["test_raw"]:
-        point = naive_point(all_labels, s.delivery_start, "prev_hour")
+        point = naive_point(all_labels, s.delivery_start, "prev_hour", MARKET_CFG)
         if point is None or s.delivery_start.hour not in residuals.per_hour:
             continue
         forecasts.append(naive_probabilistic(residuals, point, s.delivery_start.hour))
@@ -355,10 +355,10 @@ def test_criterion_7_baseline_determinism(market):
     for kind in ("prev_hour", "prev_day_same_hour", "mean3_same_hour"):
         runs = []
         for _ in range(5):
-            residuals = ResidualQuantiles.fit(train_labels, kind, QUANTILES)
+            residuals = ResidualQuantiles.fit(train_labels, kind, MARKET_CFG, QUANTILES)
             forecasts = []
             for s in market["test_raw"]:
-                point = naive_point(all_labels, s.delivery_start, kind)
+                point = naive_point(all_labels, s.delivery_start, kind, MARKET_CFG)
                 if point is None or s.delivery_start.hour not in residuals.per_hour:
                     continue
                 forecasts.append(naive_probabilistic(residuals, point, s.delivery_start.hour))

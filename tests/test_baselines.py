@@ -4,6 +4,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from orderfusion import baselines
 from orderfusion.baselines import (
     MLPConfig,
     ResidualQuantiles,
@@ -16,11 +17,12 @@ from orderfusion.baselines import (
     naive_probabilistic,
 )
 from orderfusion.evaluation import aql
-from orderfusion.market import Trades
+from orderfusion.market import MarketConfig, Sample, Trades
 from orderfusion.training import TrainConfig
 
 UTC = timezone.utc
 QUANTILES = (0.10, 0.25, 0.45, 0.50, 0.55, 0.75, 0.90)
+DE1 = MarketConfig.for_market("DE", 1)
 
 
 def hourly_labels(values, start=datetime(2024, 1, 1, tzinfo=UTC)):
@@ -31,18 +33,18 @@ class TestNaivePoint:
     def test_prev_hour(self):
         labels = hourly_labels([40.0, 50.0])
         target = datetime(2024, 1, 1, 2, tzinfo=UTC)
-        assert naive_point(labels, target, "prev_hour") == 50.0
+        assert naive_point(labels, target, "prev_hour", DE1) == 50.0
 
     def test_prev_hour_skips_gaps(self):
         labels = {datetime(2024, 1, 1, 0, tzinfo=UTC): 33.0}
         target = datetime(2024, 1, 1, 5, tzinfo=UTC)
-        assert naive_point(labels, target, "prev_hour") == 33.0
+        assert naive_point(labels, target, "prev_hour", DE1) == 33.0
 
     def test_mean3_same_hour(self):
         start = datetime(2024, 1, 1, 12, tzinfo=UTC)
         labels = {start + timedelta(days=d): v for d, v in enumerate([10.0, 20.0, 30.0])}
         target = start + timedelta(days=3)
-        assert naive_point(labels, target, "mean3_same_hour") == pytest.approx(20.0)
+        assert naive_point(labels, target, "mean3_same_hour", DE1) == pytest.approx(20.0)
 
     def test_prev_day_matches_lookup_oracle(self):
         rng = np.random.default_rng(3)
@@ -52,23 +54,43 @@ class TestNaivePoint:
         labels = {deliveries[i]: float(values[i]) for i in order}  # shuffled insertion
         for i in range(24, len(deliveries)):
             expected = labels[deliveries[i] - timedelta(days=1)]
-            assert naive_point(labels, deliveries[i], "prev_day_same_hour") == expected
+            assert naive_point(labels, deliveries[i], "prev_day_same_hour", DE1) == expected
 
     def test_missing_history_returns_none(self):
         labels = hourly_labels([1.0])
         early = datetime(2023, 12, 31, tzinfo=UTC)
-        assert naive_point(labels, early, "prev_hour") is None
-        assert naive_point(labels, early, "mean3_same_hour") is None
+        assert naive_point(labels, early, "prev_hour", DE1) is None
+        assert naive_point(labels, early, "mean3_same_hour", DE1) is None
+
+    @pytest.mark.parametrize("market, index, expected", [
+        ("DE", 1, 50.0), ("AT", 1, 50.0), ("DE", 2, 40.0), ("AT", 2, 40.0), ("DE", 3, 30.0),
+    ])
+    def test_prev_hour_reads_only_published_labels(self, market, index, expected):
+        # the label of delivery d' is out at d' - delta_c; the forecast for
+        # 03:00 is made at 03:00 - index hours
+        labels = hourly_labels([30.0, 40.0, 50.0])
+        target = datetime(2024, 1, 1, 3, tzinfo=UTC)
+        cfg = MarketConfig.for_market(market, index)
+        assert naive_point(labels, target, "prev_hour", cfg) == expected
+
+    def test_residuals_use_published_labels(self):
+        # labels rising 1 per hour: the residual of prev_hour is the number
+        # of hours it looks back, 1 at index 1 and 2 at index 2
+        labels = hourly_labels(np.arange(24 * 3, dtype=float))
+        for index in (1, 2):
+            rq = ResidualQuantiles.fit(labels, "prev_hour", MarketConfig.for_market("DE", index),
+                                       QUANTILES)
+            np.testing.assert_array_equal(rq.per_hour[5], np.full(7, float(index)))
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
-            naive_point({}, datetime(2024, 1, 1, tzinfo=UTC), "nope")
+            naive_point({}, datetime(2024, 1, 1, tzinfo=UTC), "nope", DE1)
 
 
 class TestNaiveProbabilistic:
     def test_zero_residuals_collapse_to_point(self):
         labels = hourly_labels([5.0] * 96)  # constant labels, zero residuals
-        rq = ResidualQuantiles.fit(labels, "prev_day_same_hour", QUANTILES)
+        rq = ResidualQuantiles.fit(labels, "prev_day_same_hour", DE1, QUANTILES)
         out = naive_probabilistic(rq, 42.0, hour=3)
         np.testing.assert_array_equal(out, np.full(7, 42.0))
 
@@ -77,14 +99,14 @@ class TestNaiveProbabilistic:
         # day-over-day differences { +3, -3, +1, -1 } at one hour: symmetric
         values = [0.0, 3.0, 0.0, 1.0, 0.0]
         labels = {start + timedelta(days=d): v for d, v in enumerate(values)}
-        rq = ResidualQuantiles.fit(labels, "prev_day_same_hour", QUANTILES)
+        rq = ResidualQuantiles.fit(labels, "prev_day_same_hour", DE1, QUANTILES)
         adjustment = rq.per_hour[9]
         assert adjustment[QUANTILES.index(0.50)] == pytest.approx(0.0, abs=1e-12)
 
     def test_output_monotone_in_level(self):
         rng = np.random.default_rng(9)
         labels = hourly_labels(rng.normal(50, 15, size=24 * 30))
-        rq = ResidualQuantiles.fit(labels, "prev_hour", QUANTILES)
+        rq = ResidualQuantiles.fit(labels, "prev_hour", DE1, QUANTILES)
         for hour in rq.per_hour:
             out = naive_probabilistic(rq, 10.0, hour)
             assert (np.diff(out) >= 0).all()
@@ -99,7 +121,7 @@ class TestNaiveProbabilistic:
         values = rng.normal(60, 10, size=24 * 20)
         outputs = []
         for _ in range(5):
-            rq = ResidualQuantiles.fit(hourly_labels(values), "prev_hour", QUANTILES)
+            rq = ResidualQuantiles.fit(hourly_labels(values), "prev_hour", DE1, QUANTILES)
             outputs.append(naive_probabilistic(rq, 55.0, hour=12))
         for out in outputs[1:]:
             np.testing.assert_array_equal(out, outputs[0])
@@ -280,3 +302,34 @@ class TestMlp:
         x = np.random.default_rng(53).normal(size=20)
         with pytest.raises(ValueError, match="non-empty"):
             mlp_fit(x, x, x[:0], x[:0], TrainConfig(epochs=1), quantiles=QUANTILES)
+
+
+class TestFeatureBaseline:
+    def test_best_of_pair_is_chosen_on_validation(self, monkeypatch):
+        """Labels equal the last price on the training and validation
+        deliveries, and sit at the training median on the test ones: LQR
+        wins on validation, a constant median forecaster on test."""
+        rng = np.random.default_rng(59)
+        t0 = datetime(2024, 5, 1, tzinfo=UTC)
+        deliveries = [t0 + timedelta(hours=i) for i in range(100)]
+        prices = rng.uniform(20.0, 80.0, size=100)
+        labels = prices.copy()
+        labels[80:] = np.median(prices[:60])
+        trades = table([make_trade(d, 5.0, float(p)) for d, p in zip(deliveries, prices)])
+        samples = [Sample(delivery_start=d, buy_matrix=np.zeros((0, 3)),
+                          sell_matrix=np.zeros((0, 3)), label=float(y),
+                          forecast_time=d - timedelta(minutes=60))
+                   for d, y in zip(deliveries, labels)]
+
+        class Median:       # the training median in scaled label space
+            def predict(self, x):
+                return np.zeros((len(x), len(QUANTILES)))
+
+        monkeypatch.setattr(baselines, "mlp_fit", lambda *args, **kwargs: Median())
+        rows = baselines.feature_baseline("last_price", trades, samples[:60], samples[60:80],
+                                          samples[80:], TrainConfig(epochs=1), MLPConfig(),
+                                          QUANTILES)
+        (lqr_name, lqr, lqr_best), (mlp_name, mlp, mlp_best) = rows
+        assert (lqr_name, mlp_name) == ("last_price_lqr", "last_price_mlp")
+        assert mlp.aql < lqr.aql            # the test split favours the constant
+        assert (lqr_best, mlp_best) == ("yes", "no")

@@ -419,6 +419,21 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert any(key in message for message in errors), errors
 
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize("train_frac, val_frac", [
+        (-0.3, 1.2), (0.0, 0.5), (0.7, 0.3), (0.9, 0.2), (1.0, 0.1), (0.5, "nan"),
+    ])
+    def test_bad_split_fractions_are_data_error(self, workspace, tmp_path, caplog, command,
+                                                train_frac, val_frac):
+        # -0.3 with 1.2 once wrapped around to a 70/20/10 split and exited 0
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_keys(RUN_CONFIG, train_frac=train_frac, val_frac=val_frac))
+        assert dispatch([command, "--config", str(cfg), "--data",
+                         str(workspace / "data" / "trades.csv"), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert any("train_frac" in message for message in errors), errors
+
     @pytest.mark.parametrize("key", ["mlp_hidden_size", "epochs"])
     def test_baseline_config_checked_before_parse(self, tmp_path, caplog, key):
         cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -21,7 +22,6 @@ from orderfusion.model import (
     init_params,
     input_project,
     load_checkpoint,
-    param_count,
     predict_batch,
     save_checkpoint,
     score_batch,
@@ -267,6 +267,50 @@ class TestHierarchicalHead:
                                 "hierarchical", quantiles)
         assert out.shape == (200, len(quantiles))
         assert (np.diff(out.data, axis=1) >= 0).all()
+
+
+def _pin_samples():
+    """Fixed raw sides at t_max 8: a one-sided sample, an empty one, two
+    full ones, and sides of 13 and 21 rows that pad_side must cut."""
+    rng = np.random.default_rng(20251019)
+    t0 = datetime(2024, 3, 1, tzinfo=UTC)
+    return [Sample(delivery_start=t0 + timedelta(hours=i),
+                   buy_matrix=rng.normal(size=(n_buy, 3)),
+                   sell_matrix=rng.normal(size=(n_sell, 3)),
+                   label=float(rng.normal()),
+                   forecast_time=t0 + timedelta(hours=i - 1))
+            for i, (n_buy, n_sell) in enumerate([(3, 0), (0, 0), (8, 8), (13, 2), (1, 21), (5, 6)])]
+
+
+def _batch_digest(batch):
+    h = hashlib.sha256()
+    for name in ("buy", "sell", "mask_buy", "mask_sell", "labels"):
+        arr = getattr(batch, name)
+        assert arr.flags.c_contiguous and arr.dtype == np.float64, name
+        h.update(f"{name}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    h.update(repr([d.isoformat() for d in batch.delivery_starts]).encode())
+    return h.hexdigest()
+
+
+class TestEncodeSamples:
+    # sha256 of every array encode_samples returns, per mask variant and cutoff
+    @pytest.mark.parametrize("mask_variant, cutoff_exponent, n, expected", [
+        ("dual", 0, 6, "5b35959c82e97fbeb96e3ab1fcd790525143f30174f04cb44af2d5daa6625fb6"),
+        ("dual", 2, 6, "22b1c3e8155dfae077667f70a8cc9c0ea494d348acb663f50fb1f9dc4430354b"),
+        ("none", 0, 6, "2746d7308f607341a604c8ef56ff6fe265b1b1cf71cc3ccc2e8d6bd5db998f1a"),
+        ("none", 2, 6, "2746d7308f607341a604c8ef56ff6fe265b1b1cf71cc3ccc2e8d6bd5db998f1a"),
+        ("random", 0, 6, "2a9e0f2252a95652ac3c3af4e855fd2c53463ce1a29725e1889edfe844a98663"),
+        ("random", 2, 6, "2a9e0f2252a95652ac3c3af4e855fd2c53463ce1a29725e1889edfe844a98663"),
+        ("reverse", 0, 6, "4666cd20858b558c129a04b61d219fd58ceba31ed36826f0c454010b4efa7e0c"),
+        ("reverse", 2, 6, "cf168db03dfeb2fb5d9195d5b3e1020ec3b43db2e87f436ce35bc42623a89506"),
+        ("dual", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
+        ("random", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
+    ])
+    def test_pinned_arrays(self, mask_variant, cutoff_exponent, n, expected):
+        config = ModelConfig(t_max=8, cutoff_exponent=cutoff_exponent,
+                             mask_variant=mask_variant, seed=7)
+        assert _batch_digest(encode_samples(_pin_samples()[:n], config)) == expected
 
 
 class TestForward:
@@ -584,8 +628,8 @@ class TestScoreBatch:
 
 class TestParamCount:
     def test_hand_counted_example(self):
+        # 2 sides x (3 x 4) projections + 2 x 3 attention maps of 4 x 4 + 7 heads of 4 + 1
         config = small_config(hidden_dim=4, interaction_degree=1, projection_bias=False)
-        assert param_count(config) == 155
         assert init_params(config).n_scalars() == 155
 
     def test_zero_hidden_dim_rejected(self):
@@ -597,25 +641,28 @@ class TestParamCount:
         doubled = small_config(hidden_dim=8, projection_bias=False)
 
         def attention_term(config):
-            return param_count(config) - 2 * 3 * config.hidden_dim - 7 * (config.hidden_dim + 1)
+            return (init_params(config).n_scalars() - 2 * 3 * config.hidden_dim
+                    - 7 * (config.hidden_dim + 1))
 
         assert attention_term(doubled) == 4 * attention_term(base)
 
+    # Hand counts at hidden_dim 4, one degree: projections 24, their biases 8,
+    # attention 96 per degree, and one (width + 1) head per quantile level.
     @pytest.mark.parametrize(
-        "kw",
+        "kw, expected",
         [
-            {},
-            {"projection_bias": False},
-            {"interaction_degree": 2},
-            {"aggregation_variant": "concat"},
-            {"fusion_variant": "no_fusion"},
-            {"head_variant": "single"},
-            {"head_variant": "multi", "hidden_dim": 16},
+            ({}, 24 + 8 + 96 + 7 * 5),
+            ({"projection_bias": False}, 24 + 96 + 7 * 5),
+            ({"interaction_degree": 2}, 24 + 8 + 2 * 96 + 7 * 5),
+            ({"aggregation_variant": "concat"}, 24 + 8 + 96 + 7 * 9),
+            ({"fusion_variant": "no_fusion"}, 7 * 7),
+            ({"head_variant": "single"}, 24 + 8 + 96 + 5),
+            ({"head_variant": "multi", "hidden_dim": 16}, 96 + 32 + 6 * 256 + 7 * 17),
         ],
+        ids=[f"kw{i}" for i in range(7)],
     )
-    def test_matches_registered_scalars(self, kw):
-        config = small_config(**kw)
-        assert param_count(config) == init_params(config).n_scalars()
+    def test_matches_registered_scalars(self, kw, expected):
+        assert init_params(small_config(**kw)).n_scalars() == expected
 
 
 class TestCheckpoint:
