@@ -4,8 +4,9 @@ Subcommands: synth, ingest, train, gridsearch, predict, evaluate,
 baseline, ablate, report. ``dispatch`` resolves what every run shares (the
 config file, the seed, the output directory) and, once a command has
 succeeded, writes exactly one manifest.json into the output directory with
-the hash of every file the command read, so runs are auditable and
-reproducible. Exit codes: 0 success, 1 usage error, 2 data error,
+the hash of every file the command read, the flags it was given and the
+environment that sets the bits of float32 results, so runs are auditable
+and reproducible. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure. ORDERFUSION_LOG (error|info|debug) controls logging;
 any other value is a usage error.
 """
@@ -185,11 +186,35 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config_path, seed, inputs, outputs, started: float):
+def _environment() -> dict:
+    """What float32 training and scoring results depend on besides the
+    code and the inputs: the interpreter, numpy and its casting rules, the
+    BLAS library and its thread counts. The BLAS fields are None on numpy
+    before 1.26, which cannot report its build as a dict."""
+    try:
+        deps = np.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:       # show_config() takes no mode
+        deps = {}
+    blas = deps.get("blas", {})
+    return {
+        "python": sys.version,
+        "numpy": np.__version__,
+        "blas_name": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+    }
+
+
+def write_manifest(out_dir: Path, command: str, config_path, seed, flags: dict, inputs, outputs,
+                   started: float):
+    """``flags`` are the parsed flags, which the manifest records without
+    ``--out``."""
     manifest = {
         "command": command,
         "config_path": str(config_path) if config_path else None,
         "seed": seed,
+        "flags": {k: v for k, v in sorted(flags.items()) if k not in ("command", "out")},
+        "environment": _environment(),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": [str(p) for p in outputs],
         "wall_clock_seconds": round(time.time() - started, 3),
@@ -597,7 +622,7 @@ def dispatch(argv) -> int:
         run.out.mkdir(parents=True, exist_ok=True)
         outputs = _COMMANDS[args.command](run)
         inputs = [given[k] for k in ("data", "config", "checkpoint") if given.get(k)]
-        write_manifest(run.out, args.command, given.get("config"), run.seed,
+        write_manifest(run.out, args.command, given.get("config"), run.seed, given,
                        inputs + given.get("inputs", []), outputs, started)
         return 0
     except UsageError as exc:

@@ -24,6 +24,12 @@ no bit); on dense markets this holds for whole batches.
 constant views of the parameters, so no graph is kept, in chunks of
 ``SCORE_CHUNK_ROWS`` rows, so its memory does not grow with the row count.
 
+Training and scoring compute in ``COMPUTE_DTYPE`` (float32): the tensor
+engine follows its inputs' dtype, and ``train`` and ``score_batch`` cast
+the weights and the encoded arrays to it. Everything around them stays
+float64: ``encode_samples``' arrays, checkpoints (a float32 value
+round-trips exactly through float64 text) and scored forecasts.
+
 Ablation switches cover: mask variants, removing fusion entirely (pooled
 raw sides feed the heads), aggregation without the residual sum or with
 concatenation, max pooling, and the multi / single head alternatives.
@@ -58,6 +64,7 @@ __all__ = [
     "predict_batch",
     "score_batch",
     "SCORE_CHUNK_ROWS",
+    "COMPUTE_DTYPE",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -76,6 +83,10 @@ _MASK_STREAM = 202
 
 # Rows per forward pass of ``score_batch``; the default training batch size.
 SCORE_CHUNK_ROWS = 512
+
+# What ``train`` and ``score_batch`` compute in. Float32 halves the bytes of
+# every activation and runs the matmuls about twice as fast as float64.
+COMPUTE_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -185,6 +196,14 @@ class ModelParams:
         for p in self:
             p.zero_grad()
 
+    def astype(self, dtype) -> "ModelParams":
+        """A new set holding these values in ``dtype``, with zero gradients;
+        an array already in ``dtype`` is shared, not copied."""
+        out = ModelParams()
+        for name, p in self._params.items():
+            out.add(name, p.value.data.astype(dtype, copy=False))
+        return out
+
     def frozen(self) -> "ModelParams":
         """The same arrays, uncopied, behind constant tensors: a forward pass
         over the view records no graph and keeps no backward closure."""
@@ -206,7 +225,7 @@ class ModelParams:
             p = self._params[name]
             if p.value.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {p.value.data.shape} vs {arr.shape}")
-            p.value.data = np.array(arr, dtype=np.float64)
+            p.value.data = np.array(arr, dtype=p.value.data.dtype)
 
 
 def _head_name(tau: float) -> str:
@@ -259,6 +278,12 @@ class EncodedBatch:
 
     def __len__(self):
         return self.buy.shape[0]
+
+    def astype(self, dtype) -> "EncodedBatch":
+        """The same rows with every array in ``dtype``."""
+        return dataclasses.replace(self, **{
+            name: getattr(self, name).astype(dtype)
+            for name in ("buy", "sell", "mask_buy", "mask_sell", "labels")})
 
 
 def encode_samples(samples: list[Sample], config: ModelConfig) -> EncodedBatch:
@@ -490,21 +515,24 @@ def predict_batch(
 
 
 def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -> np.ndarray:
-    """Forecasts for every row of ``batch`` in scaled space, (n, quantiles).
+    """Forecasts for every row of ``batch`` in scaled space, (n, quantiles),
+    as float64.
 
-    ``predict_batch`` over ``params.frozen()``, ``SCORE_CHUNK_ROWS`` rows at
-    a time, so scoring keeps no graph, leaves every gradient alone and holds
-    one chunk's activations at most. Each chunk trims its own dead leading
+    ``predict_batch`` over a frozen ``COMPUTE_DTYPE`` copy of ``params``,
+    ``SCORE_CHUNK_ROWS`` rows at a time, each chunk cast to that dtype, so
+    scoring keeps no graph, leaves every gradient alone and holds one
+    chunk's activations at most. Each chunk trims its own dead leading
     rows, so past one chunk the last bits can differ from a single pass;
     up to one chunk the result is that pass's, bit for bit.
     """
-    frozen = params.frozen()
+    frozen = params.astype(COMPUTE_DTYPE).frozen()
+    arrays = (batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
     step = SCORE_CHUNK_ROWS
     return np.concatenate([
-        predict_batch(frozen, config, batch.buy[i:i + step], batch.sell[i:i + step],
-                      batch.mask_buy[i:i + step], batch.mask_sell[i:i + step]).data
+        predict_batch(frozen, config,
+                      *(a[i:i + step].astype(COMPUTE_DTYPE, copy=False) for a in arrays)).data
         for i in range(0, max(len(batch), 1), step)    # no rows: one empty chunk
-    ])
+    ]).astype(np.float64)
 
 
 def _mask_node(mask: np.ndarray) -> T.Tensor | None:

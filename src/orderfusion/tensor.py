@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float tensors with reverse-mode automatic differentiation.
 
 An op whose result needs a gradient gives it a graph record, a ``_Node``:
 the parents' gradient sinks and a backward closure. The record holds no
@@ -6,11 +6,17 @@ value, and each closure keeps only the arrays its gradient formula reads,
 so an op output that no formula reads is freed as soon as the caller drops
 it. Calling :func:`backward` on a scalar replays the closures in reverse
 topological order. The engine is deliberately small: 2-D matrices plus an
-optional leading batch axis, float64 only, no in-place forward ops. Op
-results are fresh arrays, except that ``transpose`` returns a ``swapaxes``
-view of its input; a tensor built from a float64 array shares it. Forward
-computation is pure, so separate graphs can live on separate threads; a
-single graph must stay on one thread.
+optional leading batch axis, no in-place forward ops. Op results are fresh
+arrays, except that ``transpose`` returns a ``swapaxes`` view of its input.
+Forward computation is pure, so separate graphs can live on separate
+threads; a single graph must stay on one thread.
+
+The engine computes in the dtype of its inputs. A float32 array stays
+float32, and a tensor built from one shares it; any other input becomes
+float64 (shared when it already is). A Python scalar operand, as in
+``x - 1.0``, takes its tensor operand's dtype, and every gradient takes the
+dtype of its op's output, so float32 inputs and leaves give float32 outputs
+and gradients throughout. Operands of mixed dtypes follow NumPy's promotion.
 
 Only leaves keep gradients. A tensor created with ``requires_grad=True``
 owns a zero-filled ``grad`` buffer from birth; repeated ``backward`` calls
@@ -53,7 +59,9 @@ class GradError(RuntimeError):
 
 
 def _as_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = np.asarray(values)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
@@ -64,7 +72,7 @@ def _as_array(values) -> np.ndarray:
 
 
 class Tensor:
-    """A float64 array plus the autodiff bookkeeping attached to it."""
+    """A float32 or float64 array plus the autodiff bookkeeping attached to it."""
 
     __slots__ = ("data", "requires_grad", "grad", "_node")
 
@@ -92,25 +100,25 @@ class Tensor:
 
     # operator sugar; constants are wrapped without gradient tracking
     def __add__(self, other):
-        return _add(self, _wrap(other))
+        return _add(self, _wrap(other, self))
 
     def __radd__(self, other):
-        return _add(_wrap(other), self)
+        return _add(_wrap(other, self), self)
 
     def __sub__(self, other):
-        return _sub(self, _wrap(other))
+        return _sub(self, _wrap(other, self))
 
     def __rsub__(self, other):
-        return _sub(_wrap(other), self)
+        return _sub(_wrap(other, self), self)
 
     def __mul__(self, other):
-        return _mul(self, _wrap(other))
+        return _mul(self, _wrap(other, self))
 
     def __rmul__(self, other):
-        return _mul(_wrap(other), self)
+        return _mul(_wrap(other, self), self)
 
     def __neg__(self):
-        return _mul(self, _wrap(-1.0))
+        return _mul(self, _wrap(-1.0, self))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -145,9 +153,13 @@ def constant(values) -> Tensor:
     return Tensor(values, requires_grad=False)
 
 
-def _wrap(x) -> Tensor:
+def _wrap(x, like: Tensor | None = None) -> Tensor:
+    """``x`` as a tensor; a Python scalar takes the dtype of ``like``, the
+    other operand, since a float64 (1, 1) array would promote a float32 one."""
     if isinstance(x, Tensor):
         return x
+    if like is not None and isinstance(x, (int, float)):
+        x = np.asarray(x, dtype=like.data.dtype)
     return Tensor(x, requires_grad=False)
 
 
@@ -254,7 +266,8 @@ def _mul(a: Tensor, b: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties route the gradient to the first operand."""
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a, b if isinstance(b, Tensor) else None)
+    b = _wrap(b, a)
     data = np.maximum(a.data, b.data)
     take_a = a.data >= b.data
 
@@ -430,8 +443,8 @@ def max_rows(x: Tensor, lead: int = 0) -> Tensor:
     def backward_fn(g):
         g = g.reshape(idx.shape)
         if lead:
-            g = np.where(explicit_wins, g, 0.0)
-        gx = np.zeros(shape)
+            g = np.where(explicit_wins, g, g.dtype.type(0))
+        gx = np.zeros(shape, g.dtype)
         np.put_along_axis(gx, idx, g, axis=-2)
         return (gx,)
 
@@ -443,9 +456,9 @@ def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
     def backward_fn(g):
-        return (np.full(shape, g.reshape(())),)
+        return (np.full(shape, g.reshape(()), g.dtype),)
 
-    return _node(np.array([[x.data.sum()]]), (x,), backward_fn)
+    return _node(np.array([[x.data.sum()]], x.data.dtype), (x,), backward_fn)
 
 
 def mean_all(x: Tensor) -> Tensor:
@@ -453,9 +466,9 @@ def mean_all(x: Tensor) -> Tensor:
     shape, n = x.data.shape, x.data.size
 
     def backward_fn(g):
-        return (np.full(shape, g.reshape(()) / n),)
+        return (np.full(shape, g.reshape(()) / n, g.dtype),)
 
-    return _node(np.array([[x.data.mean()]]), (x,), backward_fn)
+    return _node(np.array([[x.data.mean()]], x.data.dtype), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

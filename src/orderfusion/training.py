@@ -18,7 +18,8 @@ import numpy as np
 from . import tensor as T
 from .evaluation import aql
 from .market import Sample
-from .model import ModelConfig, ModelParams, encode_samples, init_params, predict_batch, score_batch
+from .model import (COMPUTE_DTYPE, ModelConfig, ModelParams, encode_samples, init_params,
+                    predict_batch, score_batch)
 
 __all__ = [
     "TrainConfig",
@@ -82,7 +83,7 @@ def pinball(y: float, yhat: float, tau: float) -> float:
 
 def aql_loss(pred: T.Tensor, y: T.Tensor, quantiles) -> T.Tensor:
     """Graph-building version of :func:`aql` for training."""
-    taus = T.constant(np.asarray(quantiles, dtype=np.float64).reshape(1, -1))
+    taus = T.constant(np.asarray(quantiles, dtype=pred.data.dtype).reshape(1, -1))
     diff = y - pred                       # (n, q) via broadcast of (n, 1)
     return T.mean_all(T.maximum(taus * diff, (taus - 1.0) * diff))
 
@@ -176,11 +177,12 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
             params.zero_grad()
             # The previous step's graph lives until this assignment, on
             # purpose. Dropping it right after backward lowers the train_wide
-            # peak RSS 193 -> 177 MB but raises wall time, train_small 1.36 ->
-            # 1.46 s and train_wide 1.73 -> 1.86 s (2 vCPUs, medians of 8 and
-            # 6 runs): glibc trims the freed top of the heap and the next step
-            # faults it back in (minor faults per train_small command 32k ->
-            # 104k).
+            # peak RSS 117 -> 109 MB but raises wall time, train_small 0.89 ->
+            # 0.98 s and train_wide 0.99 -> 1.05 s (float32, 2 vCPUs, medians
+            # of 12 alternating train commands): glibc trims the freed top of
+            # the heap and the next step faults it back in (minor faults per
+            # train command 20k -> 46k on train_small, 37k -> 58k on
+            # train_wide).
             loss = batch_loss(rows, rng)
             value = loss.item()
             if not math.isfinite(value):
@@ -208,13 +210,15 @@ def train(
 ) -> TrainResult:
     """Fit the model, returning the weights of the best validation epoch.
 
-    Takes scaled samples and encodes them here.
+    Takes scaled samples and encodes them here. The encoded arrays and the
+    initial weights are cast to ``COMPUTE_DTYPE`` once, so the weights,
+    gradients and Adam's moments stay in it throughout.
     """
-    tb = encode_samples(train_samples, model_config)
-    vb = encode_samples(val_samples, model_config)
+    tb = encode_samples(train_samples, model_config).astype(COMPUTE_DTYPE)
+    vb = encode_samples(val_samples, model_config).astype(COMPUTE_DTYPE)
     if len(tb) == 0 or len(vb) == 0:
         raise ValueError("train and validation splits must be non-empty")
-    params = init_params(model_config)
+    params = init_params(model_config).astype(COMPUTE_DTYPE)
     quantiles = model_config.head_quantiles
 
     def batch_loss(rows, rng):

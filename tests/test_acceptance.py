@@ -217,16 +217,18 @@ def test_criterion_2_gradient_fidelity():
     )
 
 
-def test_criterion_3_masking_invariance():
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+def test_criterion_3_masking_invariance(dtype):
     """Mutating sentinel rows or cut-off valid rows never changes the
-    forecast, bit for bit, across 1000 trials."""
+    forecast, bit for bit, across 1000 trials, in float64 and in float32
+    (the dtype training and scoring compute in)."""
     config = ModelConfig(hidden_dim=4, interaction_degree=2, cutoff_exponent=2, t_max=8, seed=7)
-    params = init_params(config)
+    params = init_params(config).astype(dtype)
     rng = np.random.default_rng(404)
     cutoff = 2 ** config.cutoff_exponent
     mismatches = 0
     for trial in range(1000):
-        buy, sell, mb, ms = _random_encoded_inputs(rng, config, 1)
+        buy, sell, mb, ms = (a.astype(dtype) for a in _random_encoded_inputs(rng, config, 1))
         base = predict_batch(params, config, buy, sell, mb, ms).data.copy()
         mutated_buy, mutated_sell = buy.copy(), sell.copy()
         for matrix, mask in ((mutated_buy, mb), (mutated_sell, ms)):
@@ -237,7 +239,8 @@ def test_criterion_3_masking_invariance():
         out = predict_batch(params, config, mutated_buy, mutated_sell, mb, ms).data
         if not np.array_equal(base, out):
             mismatches += 1
-    _report("C3 masking invariance", mismatches == 0, f"(trials=1000, mismatches={mismatches})")
+    _report(f"C3 masking invariance, {np.dtype(dtype).name}", mismatches == 0,
+            f"(trials=1000, mismatches={mismatches})")
 
 
 def test_criterion_4_oracle_equivalence():

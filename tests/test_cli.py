@@ -3,6 +3,7 @@ import hashlib
 import json
 import logging
 import re
+import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -250,7 +251,7 @@ class TestCommandVariants:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
 
-MANIFEST_KEYS = {"command", "config_path", "seed", "inputs", "outputs",
+MANIFEST_KEYS = {"command", "config_path", "seed", "flags", "environment", "inputs", "outputs",
                  "wall_clock_seconds", "artifact_version"}
 
 
@@ -295,6 +296,22 @@ class TestManifest:
         assert manifest["config_path"] == (config[0] if config else None)
         assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
         assert isinstance(manifest["seed"], int)
+
+    def test_records_flags_and_environment(self, workspace, tmp_path):
+        """Two baselines on the same data differ in their manifests' flags,
+        which leave out --out; the environment is the running one."""
+        cfg, data = str(workspace / "run.cfg"), str(workspace / "data" / "trades.csv")
+        for variant in ("naive1", "vwap15"):
+            out = tmp_path / variant
+            assert dispatch(["baseline", "--variant", variant, "--config", cfg, "--data", data,
+                             "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["flags"] == {"config": cfg, "data": data, "index": None,
+                                         "market": None, "seed": None, "variant": variant}
+            env = manifest["environment"]
+            assert set(env) == {"python", "numpy", "blas_name", "blas_version", "num_threads"}
+            assert env["python"] == sys.version and env["numpy"] == np.__version__
+            assert all(k.endswith("_NUM_THREADS") for k in env["num_threads"])
 
     def test_scoring_records_checkpoint_seed(self, workspace, runs, tmp_path):
         checkpoint = runs["train"][0] / "checkpoint.json"

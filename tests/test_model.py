@@ -12,6 +12,7 @@ from orderfusion import model as M
 from orderfusion import tensor as T
 from orderfusion.market import Sample
 from orderfusion.model import (
+    COMPUTE_DTYPE,
     SCORE_CHUNK_ROWS,
     ModelConfig,
     aggregate_and_pool,
@@ -605,10 +606,17 @@ class TestScoreBatch:
             assert frozen[p.name].value.data is p.value.data
             assert not frozen[p.name].value.requires_grad
 
+    @staticmethod
+    def _one_pass(params, config, b):
+        """One ``predict_batch`` pass in the dtype scoring computes in, as float64."""
+        b = b.astype(COMPUTE_DTYPE)
+        return predict_batch(params.astype(COMPUTE_DTYPE), config, b.buy, b.sell,
+                             b.mask_buy, b.mask_sell).data.astype(np.float64)
+
     @pytest.mark.parametrize("n", [1, 37, SCORE_CHUNK_ROWS])
     def test_bitwise_up_to_one_chunk(self, n):
         config, params, b = self._case(n)
-        ref = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data
+        ref = self._one_pass(params, config, b)
         assert score_batch(params, config, b).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
@@ -618,8 +626,11 @@ class TestScoreBatch:
         whole = M._dead_lead(b.mask_buy, b.mask_sell)
         tail = slice(SCORE_CHUNK_ROWS, None)
         assert M._dead_lead(b.mask_buy[tail], b.mask_sell[tail]) > whole
-        ref = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data
-        np.testing.assert_allclose(score_batch(params, config, b), ref, atol=1e-12, rtol=0)
+        ref = self._one_pass(params, config, b)
+        # the chunks and the single pass sum in different orders: allow 16
+        # float32 ulps of the largest forecast (the float64 bound was 1e-12)
+        atol = 16 * np.finfo(COMPUTE_DTYPE).eps * np.abs(ref).max()
+        np.testing.assert_allclose(score_batch(params, config, b), ref, atol=atol, rtol=0)
 
     def test_empty_batch(self):
         config, params, _ = self._case(1)

@@ -474,3 +474,69 @@ class TestBackwardContract:
         T.backward(loss)
         assert_grad_close(tx.grad, fd_grad(lambda: run()[2].item(), x))
         assert_grad_close(tw.grad, fd_grad(lambda: run()[2].item(), w))
+
+
+# Every public op, and each operator with a tensor and with a Python scalar
+# operand, on leaves x and y of shape (2, 3, 4) and w of shape (4, 3).
+DTYPE_CASES = {
+    "add": lambda x, y, w: x + y,
+    "add_scalar": lambda x, y, w: x + 2,
+    "radd_scalar": lambda x, y, w: 1.5 + x,
+    "sub": lambda x, y, w: x - y,
+    "sub_scalar": lambda x, y, w: x - 1.0,
+    "rsub_scalar": lambda x, y, w: 1.0 - x,
+    "mul": lambda x, y, w: x * y,
+    "mul_scalar": lambda x, y, w: x * 0.5,
+    "rmul_scalar": lambda x, y, w: 3 * x,
+    "neg": lambda x, y, w: -x,
+    "matmul_operator": lambda x, y, w: x @ w,
+    "matmul": lambda x, y, w: T.matmul(x, w),
+    "matmul_batched": lambda x, y, w: T.matmul(x, T.transpose(y)),
+    "transpose": lambda x, y, w: T.transpose(x),
+    "softmax_rows": lambda x, y, w: T.softmax_rows(x, 0.5),
+    "softmax_rows_lead": lambda x, y, w: T.softmax_rows(x, 0.5, lead=2),
+    "swish": lambda x, y, w: T.swish(x),
+    "abs_": lambda x, y, w: T.abs_(x),
+    "maximum": lambda x, y, w: T.maximum(x, y),
+    "maximum_scalar": lambda x, y, w: T.maximum(x, 0.0),
+    "rmaximum_scalar": lambda x, y, w: T.maximum(0.0, x),
+    "concat_cols": lambda x, y, w: T.concat_cols(x, y),
+    "mean_rows": lambda x, y, w: T.mean_rows(x),
+    "mean_rows_lead": lambda x, y, w: T.mean_rows(x, lead=1),
+    "max_rows": lambda x, y, w: T.max_rows(x),
+    "max_rows_lead": lambda x, y, w: T.max_rows(x, lead=1),
+    "sum_all": lambda x, y, w: T.sum_all(x),
+    "mean_all": lambda x, y, w: T.mean_all(x),
+}
+
+
+class TestDtype:
+    """The engine computes in its inputs' dtype: float32 stays float32, in
+    every op output and every gradient, and float64 stays float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["float32", "float64"])
+    @pytest.mark.parametrize("case", sorted(DTYPE_CASES))
+    def test_op_keeps_dtype(self, monkeypatch, case, dtype):
+        rng = np.random.default_rng(61)
+        x, y = (T.Tensor(rng.normal(size=(2, 3, 4)).astype(dtype), requires_grad=True)
+                for _ in range(2))
+        w = T.Tensor(rng.normal(size=(4, 3)).astype(dtype), requires_grad=True)
+        out = DTYPE_CASES[case](x, y, w)
+        assert out.data.dtype == dtype
+
+        grads = []
+        accumulate = T._accumulate
+        monkeypatch.setattr(T, "_accumulate", lambda sink, g: (grads.append(g.dtype),
+                                                               accumulate(sink, g)))
+        T.backward(T.sum_all(out))
+        assert grads and set(grads) == {np.dtype(dtype)}
+        assert {x.grad.dtype, y.grad.dtype, w.grad.dtype} == {np.dtype(dtype)}
+
+    def test_inputs_other_than_float32_become_float64(self):
+        for values in ([[1, 2]], np.ones((2, 2), np.float16), np.ones((2, 2), np.int64), 3.0):
+            assert T.constant(values).data.dtype == np.float64
+
+    def test_float32_and_float64_arrays_are_shared(self):
+        for dtype in (np.float32, np.float64):
+            a = np.ones((2, 3), dtype)
+            assert T.constant(a).data is a
