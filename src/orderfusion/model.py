@@ -204,13 +204,16 @@ class ModelParams:
             out.add(name, p.value.data.astype(dtype, copy=False))
         return out
 
-    def frozen(self) -> "ModelParams":
-        """The same arrays, uncopied, behind constant tensors: a forward pass
-        over the view records no graph and keeps no backward closure."""
+    def frozen(self, dtype=None) -> "ModelParams":
+        """The arrays behind constant tensors: a forward pass over the view
+        records no graph and keeps no backward closure. With ``dtype`` each
+        array is cast to it; an array already in that dtype, or every array
+        when ``dtype`` is None, is shared, not copied."""
         view = ModelParams()
         for name, p in self._params.items():
+            values = p.value.data if dtype is None else p.value.data.astype(dtype, copy=False)
             const = T.Parameter.__new__(T.Parameter)
-            const.name, const.value = name, T.constant(p.value.data)
+            const.name, const.value = name, T.constant(values)
             view._params[name] = const
         return view
 
@@ -525,7 +528,7 @@ def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -
     rows, so past one chunk the last bits can differ from a single pass;
     up to one chunk the result is that pass's, bit for bit.
     """
-    frozen = params.astype(COMPUTE_DTYPE).frozen()
+    frozen = params.frozen(COMPUTE_DTYPE)
     arrays = (batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
     step = SCORE_CHUNK_ROWS
     return np.concatenate([

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -600,17 +601,27 @@ class TestScoreBatch:
 
     def test_frozen_view_shares_arrays(self):
         config, params, _ = self._case(2)
-        frozen = params.frozen()
-        assert frozen.names == params.names
+        for frozen in (params.frozen(), params.frozen(np.float64)):
+            assert frozen.names == params.names
+            for p in params:
+                assert frozen[p.name].value.data is p.value.data
+                assert not frozen[p.name].value.requires_grad
+
+    def test_frozen_view_casts(self):
+        config, params, _ = self._case(2)
+        frozen = params.frozen(np.float32)
         for p in params:
-            assert frozen[p.name].value.data is p.value.data
+            assert frozen[p.name].value.data.dtype == np.float32
+            assert frozen[p.name].value.data.tobytes() == p.value.data.astype(np.float32).tobytes()
             assert not frozen[p.name].value.requires_grad
+        assert frozen.frozen(np.float32)[params.names[0]].value.data is frozen[params.names[0]].value.data
 
     @staticmethod
-    def _one_pass(params, config, b):
-        """One ``predict_batch`` pass in the dtype scoring computes in, as float64."""
-        b = b.astype(COMPUTE_DTYPE)
-        return predict_batch(params.astype(COMPUTE_DTYPE), config, b.buy, b.sell,
+    def _one_pass(params, config, b, dtype=COMPUTE_DTYPE):
+        """One ``predict_batch`` pass in ``dtype``, by default the one scoring
+        computes in, as float64."""
+        b = b.astype(dtype)
+        return predict_batch(params.frozen(dtype), config, b.buy, b.sell,
                              b.mask_buy, b.mask_sell).data.astype(np.float64)
 
     @pytest.mark.parametrize("n", [1, 37, SCORE_CHUNK_ROWS])
@@ -619,18 +630,47 @@ class TestScoreBatch:
         ref = self._one_pass(params, config, b)
         assert score_batch(params, config, b).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
-    def test_chunks_agree_with_one_pass(self, mask_variant):
+    def _chunked_case(self, mask_variant):
+        """Three chunks; the later two trim more dead leading rows than one
+        pass over every row does."""
         n = 2 * SCORE_CHUNK_ROWS + 100
         config, params, b = self._case(n, mask_variant)
         whole = M._dead_lead(b.mask_buy, b.mask_sell)
         tail = slice(SCORE_CHUNK_ROWS, None)
         assert M._dead_lead(b.mask_buy[tail], b.mask_sell[tail]) > whole
+        return config, params, b
+
+    @staticmethod
+    def _chunk_passes(params, config, b, dtype):
+        """``predict_batch`` over each ``SCORE_CHUNK_ROWS`` chunk alone, in
+        ``dtype``, concatenated as float64."""
+        def rows(i):
+            return dataclasses.replace(b, **{name: getattr(b, name)[i:i + SCORE_CHUNK_ROWS] for name in
+                                             ("buy", "sell", "mask_buy", "mask_sell", "labels")})
+
+        return np.concatenate([TestScoreBatch._one_pass(params, config, rows(i), dtype)
+                               for i in range(0, len(b), SCORE_CHUNK_ROWS)])
+
+    @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
+    def test_chunks_agree_with_one_pass(self, mask_variant):
+        # trimming a chunk's own dead leading rows matches one untrimmed
+        # pass; checked in float64, where the differing sum order stays
+        # below 1e-12
+        config, params, b = self._chunked_case(mask_variant)
+        np.testing.assert_allclose(self._chunk_passes(params, config, b, np.float64),
+                                   self._one_pass(params, config, b, np.float64), atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
+    def test_scores_are_float32_chunk_passes(self, mask_variant):
+        config, params, b = self._chunked_case(mask_variant)
+        out = score_batch(params, config, b)
+        assert out.dtype == np.float64
+        assert out.tobytes() == self._chunk_passes(params, config, b, COMPUTE_DTYPE).tobytes()
+        # against one float32 pass over every row the sum order differs, by
+        # one float32 ulp here: allow 16 ulps of the largest forecast
         ref = self._one_pass(params, config, b)
-        # the chunks and the single pass sum in different orders: allow 16
-        # float32 ulps of the largest forecast (the float64 bound was 1e-12)
         atol = 16 * np.finfo(COMPUTE_DTYPE).eps * np.abs(ref).max()
-        np.testing.assert_allclose(score_batch(params, config, b), ref, atol=atol, rtol=0)
+        np.testing.assert_allclose(out, ref, atol=atol, rtol=0)
 
     def test_empty_batch(self):
         config, params, _ = self._case(1)
