@@ -139,6 +139,161 @@ class TestParse:
         assert [t + "Z" for t in _format_times(us)] == [format_timestamp(dt) for dt in stamps]
 
 
+HEADER = "delivery_start,side,price,volume,transaction_time\n"
+D, T = "2024-07-23T18:00:00Z", "2024-07-23T16:00:00Z"
+
+
+def row(delivery=D, side="+", price="50.5", volume="2.0", time=T):
+    return f"{delivery},{side},{price},{volume},{time}\n"
+
+
+def us(*fields):
+    """µs since the epoch of a UTC ``datetime(*fields)``."""
+    return Trades.to_us(datetime(*fields, tzinfo=UTC))
+
+
+ROW, BAD = row(), row(volume="0")
+GOOD = (us(2024, 7, 23, 18), us(2024, 7, 23, 16), BUY, 50.5, 2.0)
+
+
+def at_time(*fields):
+    """GOOD with its transaction time at ``datetime(2024, 7, 23, *fields)``."""
+    return [(GOOD[0], us(2024, 7, 23, *fields), BUY, 50.5, 2.0)]
+
+
+def with_price(price):
+    return [GOOD[:3] + (price, 2.0)]
+
+
+ZERO_VOLUME = "volume must be > 0, got 0"
+
+# (case, file text, expected rows as (delivery, time, side, price, volume)
+# tuples, or the exact ParseError message)
+PARSE_TABLE = [
+    # file shape
+    ("empty file", "", "line 1: empty file, expected header"),
+    ("header only", HEADER, []),
+    ("header without newline", HEADER.rstrip("\n"), []),
+    ("wrong header", HEADER.replace("delivery_start", "delivery") + ROW,
+     "line 1: expected header delivery_start,side,price,volume,transaction_time, "
+     "got delivery,side,price,volume,transaction_time"),
+    ("utf-8 bom", "\ufeff" + HEADER + ROW,
+     "line 1: expected header delivery_start,side,price,volume,transaction_time, "
+     "got \ufeffdelivery_start,side,price,volume,transaction_time"),
+    ("4 columns", HEADER + ROW + ROW.rsplit(",", 1)[0] + "\n", "line 3: expected 5 columns, got 4"),
+    ("6 columns", HEADER + ROW.replace("\n", ",x\n"), "line 2: expected 5 columns, got 6"),
+    ("trailing comma", HEADER + ROW.replace("\n", ",\n"), "line 2: expected 5 columns, got 6"),
+    # blank lines and line ends
+    ("blank first", HEADER + "\n" + ROW, [GOOD]),
+    ("blank first then bad", HEADER + "\n" + BAD, f"line 3: {ZERO_VOLUME}"),
+    ("blank middle", HEADER + ROW + "\n" + ROW, [GOOD, GOOD]),
+    ("blank middle then bad", HEADER + ROW + "\n" + BAD, f"line 4: {ZERO_VOLUME}"),
+    ("blank last", HEADER + ROW + "\n\n", [GOOD]),
+    ("whitespace line", HEADER + ROW + " \n", "line 3: expected 5 columns, got 1"),
+    ("crlf", (HEADER + ROW + ROW).replace("\n", "\r\n"), [GOOD, GOOD]),
+    ("crlf then bad", (HEADER + ROW + BAD).replace("\n", "\r\n"), f"line 3: {ZERO_VOLUME}"),
+    ("crlf body only", HEADER + (ROW + ROW).replace("\n", "\r\n"), [GOOD, GOOD]),
+    ("cr", (HEADER + ROW + BAD).replace("\n", "\r"), f"line 3: {ZERO_VOLUME}"),
+    ("no final newline", HEADER + ROW + ROW.rstrip("\n"), [GOOD, GOOD]),
+    # quotes and sides
+    ("quoted fields", HEADER + ",".join(f'"{f}"' for f in ROW.rstrip("\n").split(",")) + "\n",
+     [GOOD]),
+    ("quoted newline is one line", HEADER + row(price='"50.5\n"') + BAD, f"line 3: {ZERO_VOLUME}"),
+    ("sell", HEADER + row(side="-"), [GOOD[:2] + (SELL, 50.5, 2.0)]),
+    ("side +x", HEADER + row(side="+x"), "line 2: side must be '+' or '-', got '+x'"),
+    ("side space plus", HEADER + row(side=" +"), "line 2: side must be '+' or '-', got ' +'"),
+    ("side empty", HEADER + row(side=""), "line 2: side must be '+' or '-', got ''"),
+    ("side nul", HEADER + row(side="+\0"), "line 2: side must be '+' or '-', got '+\\x00'"),
+    # numbers
+    ("price nan", HEADER + row(price="nan"), "line 2: price must be finite"),
+    ("price inf", HEADER + row(price="inf"), "line 2: price must be finite"),
+    ("price -0.0", HEADER + row(price="-0.0"), with_price(-0.0)),
+    ("price 1e308", HEADER + row(price="1e308"), with_price(1e308)),
+    ("price 1e309", HEADER + row(price="1e309"), "line 2: price must be finite"),
+    ("price 1_0", HEADER + row(price="1_0"), with_price(10.0)),
+    ("price padded", HEADER + row(price=" 50.5 "), [GOOD]),
+    ("price word", HEADER + row(price="abc"),
+     "line 2: bad numeric field (could not convert string to float: 'abc')"),
+    ("price nul", HEADER + row(price="50.5\0"),
+     "line 2: bad numeric field (could not convert string to float: '50.5\\x00')"),
+    ("volume zero", HEADER + row(volume="0"), f"line 2: {ZERO_VOLUME}"),
+    ("volume negative", HEADER + row(volume="-1.5"), "line 2: volume must be > 0, got -1.5"),
+    ("volume nan", HEADER + row(volume="nan"), "line 2: volume must be > 0, got nan"),
+    ("volume inf", HEADER + row(volume="inf"), "line 2: volume must be > 0, got inf"),
+    # timestamps
+    ("offset +00:00", HEADER + row(delivery="2024-07-23T18:00:00+00:00"), [GOOD]),
+    ("offset +01:00", HEADER + row(delivery="2024-07-23T19:00:00+01:00",
+                                   time="2024-07-23T17:00:00+01:00"), [GOOD]),
+    ("offset -00:00", HEADER + row(time="2024-07-23T16:00:00-00:00"), [GOOD]),
+    ("space separator", HEADER + row(time="2024-07-23 16:00:00Z"), [GOOD]),
+    ("fraction 1 digit", HEADER + row(time="2024-07-23T16:00:00.5Z"), at_time(16, 0, 0, 500_000)),
+    ("fraction 2 digits", HEADER + row(time="2024-07-23T16:00:00.25Z"), at_time(16, 0, 0, 250_000)),
+    ("fraction 3 digits", HEADER + row(time="2024-07-23T16:00:00.125Z"), at_time(16, 0, 0, 125_000)),
+    ("fraction 4 digits", HEADER + row(time="2024-07-23T16:00:00.1234Z"), at_time(16, 0, 0, 123_400)),
+    ("fraction 5 digits", HEADER + row(time="2024-07-23T16:00:00.12345Z"), at_time(16, 0, 0, 123_450)),
+    ("fraction 6 digits", HEADER + row(time="2024-07-23T16:00:00.123456Z"),
+     at_time(16, 0, 0, 123_456)),
+    ("fraction 6 zeros", HEADER + row(time="2024-07-23T16:00:00.000000Z"), [GOOD]),
+    ("fraction 7 digits", HEADER + row(time="2024-07-23T16:00:00.1234567Z"),
+     at_time(16, 0, 0, 123_456)),
+    ("fraction 8 digits", HEADER + row(time="2024-07-23T16:00:00.12345678Z"),
+     at_time(16, 0, 0, 123_456)),
+    ("fraction 9 digits", HEADER + row(time="2024-07-23T16:00:00.123456789Z"),
+     at_time(16, 0, 0, 123_456)),
+    ("hour 24", HEADER + row(time="2024-07-23T24:00:00Z"),
+     "line 2: bad timestamp (hour must be in 0..23)"),
+    ("minute 60", HEADER + row(time="2024-07-23T16:60:00Z"),
+     "line 2: bad timestamp (minute must be in 0..59)"),
+    ("second 60", HEADER + row(time="2024-07-23T16:00:60Z"),
+     "line 2: bad timestamp (second must be in 0..59)"),
+    ("feb 29 leap year", HEADER + row(delivery="2024-02-29T18:00:00Z", time="2024-02-29T16:00:00Z"),
+     [(us(2024, 2, 29, 18), us(2024, 2, 29, 16), BUY, 50.5, 2.0)]),
+    ("feb 29 non-leap year", HEADER + row(delivery="2023-02-29T18:00:00Z"),
+     "line 2: bad timestamp (day is out of range for month)"),
+    ("april 31", HEADER + row(delivery="2024-04-31T18:00:00Z"),
+     "line 2: bad timestamp (day is out of range for month)"),
+    ("month 13", HEADER + row(delivery="2024-13-01T18:00:00Z"),
+     "line 2: bad timestamp (month must be in 1..12)"),
+    ("year 0", HEADER + row(time="0000-07-23T16:00:00Z"),
+     "line 2: bad timestamp (year 0 is out of range)"),
+    ("pre-1970", HEADER + row(delivery="1969-12-31T23:00:00Z", time="1969-12-31T22:59:59.999999Z"),
+     [(us(1969, 12, 31, 23), us(1969, 12, 31, 22, 59, 59, 999_999), BUY, 50.5, 2.0)]),
+    ("transaction at delivery", HEADER + row(time=D),
+     "line 2: transaction_time must precede delivery_start"),
+    ("transaction after delivery", HEADER + row(time="2024-07-23T18:00:00.000001Z"),
+     "line 2: transaction_time must precede delivery_start"),
+    ("naive timestamp", HEADER + row(time="2024-07-23T16:00:00"),
+     "line 2: bad timestamp (timestamp '2024-07-23T16:00:00' lacks a UTC offset)"),
+    ("offset in the second field", HEADER + row(time="2024-07-23T16:00+01Z"),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00+01+00:00')"),
+    ("word", HEADER + row(delivery="yesterday"),
+     "line 2: bad timestamp (Invalid isoformat string: 'yesterday')"),
+]
+
+
+def assert_bitwise(parsed: Trades, rows: list):
+    """Columns equal bit for bit (-0.0 is not 0.0) in the Trades dtypes."""
+    dtypes = (np.int64, np.int64, np.int8, np.float64, np.float64)
+    columns = list(zip(*rows)) or [()] * 5
+    for name, dtype, values in zip(("delivery", "time", "side", "price", "volume"), dtypes, columns):
+        got = getattr(parsed, name)
+        assert got.dtype == dtype, name
+        assert got.tobytes() == np.array(values, dtype=dtype).tobytes(), name
+
+
+@pytest.mark.parametrize("text, expected", [case[1:] for case in PARSE_TABLE],
+                         ids=[case[0] for case in PARSE_TABLE])
+def test_parse_table(tmp_path, text, expected):
+    path = tmp_path / "trades.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            parse_trades(path)
+        assert str(info.value) == expected
+    else:
+        assert_bitwise(parse_trades(path), expected)
+
+
 class TestIndexLabel:
     CFG = MarketConfig(index_x=1, delta_c_minutes=30)
 
