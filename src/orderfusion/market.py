@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from array import array
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
@@ -28,6 +29,8 @@ TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
 # gate closure offsets by market area, minutes before delivery
 DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
 
+_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d)(?:\.(\d{1,6}))?([+-]\d\d:\d\d)?",
+                        re.ASCII)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 
@@ -130,14 +133,23 @@ class IngestReport:
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 UTC timestamp, accepting the trailing 'Z' form."""
+    """Parse ``YYYY-MM-DD[T ]HH:MM:SS[.f]`` with 1 to 6 fraction digits and
+    a ``Z`` or ``±HH:MM`` offset, surrounding whitespace ignored, to UTC.
+
+    The grammar is checked here and not left to ``datetime.fromisoformat``,
+    which accepts more from Python 3.11 on (basic format, 7+ fraction digits).
+    """
     raw = text.strip()
     if raw.endswith("Z"):
         raw = raw[:-1] + "+00:00"
-    dt = datetime.fromisoformat(raw)
-    if dt.tzinfo is None:
+    match = _TIMESTAMP.fullmatch(raw)
+    if match is None:
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
+    stamp, fraction, offset = match.groups()
+    if offset is None:
         raise ValueError(f"timestamp {text!r} lacks a UTC offset")
-    return dt.astimezone(timezone.utc)
+    # six fraction digits and ±HH:MM: the form every supported Python reads alike
+    return datetime.fromisoformat(f"{stamp}.{fraction or '':0<6}{offset}").astimezone(timezone.utc)
 
 
 def format_timestamp(dt: datetime) -> str:

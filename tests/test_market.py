@@ -21,6 +21,7 @@ from orderfusion.market import (
     delivery_slices,
     fit_scaler,
     format_timestamp,
+    parse_timestamp,
     parse_trades,
     write_trades,
 )
@@ -235,11 +236,11 @@ PARSE_TABLE = [
      at_time(16, 0, 0, 123_456)),
     ("fraction 6 zeros", HEADER + row(time="2024-07-23T16:00:00.000000Z"), [GOOD]),
     ("fraction 7 digits", HEADER + row(time="2024-07-23T16:00:00.1234567Z"),
-     at_time(16, 0, 0, 123_456)),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00:00.1234567+00:00')"),
     ("fraction 8 digits", HEADER + row(time="2024-07-23T16:00:00.12345678Z"),
-     at_time(16, 0, 0, 123_456)),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00:00.12345678+00:00')"),
     ("fraction 9 digits", HEADER + row(time="2024-07-23T16:00:00.123456789Z"),
-     at_time(16, 0, 0, 123_456)),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00:00.123456789+00:00')"),
     ("hour 24", HEADER + row(time="2024-07-23T24:00:00Z"),
      "line 2: bad timestamp (hour must be in 0..23)"),
     ("minute 60", HEADER + row(time="2024-07-23T16:60:00Z"),
@@ -292,6 +293,40 @@ def test_parse_table(tmp_path, text, expected):
         assert str(info.value) == expected
     else:
         assert_bitwise(parse_trades(path), expected)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("2024-07-23T16:00:00Z", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    ("2024-07-23 16:00:00Z", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    (" 2024-07-23T16:00:00Z\t", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    ("2024-07-23T16:00:00.5Z", datetime(2024, 7, 23, 16, 0, 0, 500_000, tzinfo=UTC)),
+    ("2024-07-23T16:00:00.12345Z", datetime(2024, 7, 23, 16, 0, 0, 123_450, tzinfo=UTC)),
+    ("2024-07-23T16:00:00.000001+00:00", datetime(2024, 7, 23, 16, 0, 0, 1, tzinfo=UTC)),
+    ("2024-07-23T17:00:00+01:00", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    ("2024-07-23T13:30:00.5-02:30", datetime(2024, 7, 23, 16, 0, 0, 500_000, tzinfo=UTC)),
+    ("2024-07-23T16:00:00.1234567Z", None),     # 7 fraction digits
+    ("20240723T160000Z", None),                 # basic format
+    ("2024-07-23X16:00:00Z", None),             # separator other than T or space
+    ("2024-07-23T16:00Z", None),                # no seconds
+    ("2024-07-23T16Z", None),
+    ("2024-07-23", None),
+    ("2024-07-23T16:00:00,5Z", None),           # decimal comma
+    ("2024-W30-2T16:00:00Z", None),             # week date
+    ("2024-205T16:00:00Z", None),               # ordinal date
+    ("2024-07-23T16:00:00+0100", None),
+    ("2024-07-23T16:00:00+01", None),
+    ("2024-07-23T16:00:00+01:00:30", None),     # offset with seconds
+    ("2024-07-23T16:00:00", None),              # no offset
+    ("٢٠٢٤-07-23T16:00:00Z", None),             # non-ASCII digits
+])
+def test_timestamp_grammar(text, expected):
+    """One grammar, YYYY-MM-DD[T ]HH:MM:SS[.f{1,6}](Z|±HH:MM), on every Python
+    version: ``datetime.fromisoformat`` alone accepts more from 3.11 on."""
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_timestamp(text)
+    else:
+        assert parse_timestamp(text) == expected
 
 
 class TestIndexLabel:
