@@ -1,9 +1,18 @@
 """Trade ingestion, intraday index labels, sample encoding, robust scaling.
 
 The trade CSV contract: header ``delivery_start,side,price,volume,
-transaction_time``, ISO-8601 UTC timestamps (``2024-07-23T18:00:00Z``),
-side ``+`` (buy) or ``-`` (sell), ``.`` decimal point, UTF-8, LF endings.
-In memory, trades are one ``Trades`` column table.
+transaction_time``, UTC timestamps as ``parse_timestamp`` reads them
+(``2024-07-23T18:00:00Z``), side ``+`` (buy) or ``-`` (sell), ``.`` decimal
+point, UTF-8, LF endings. In memory, trades are one ``Trades`` column table.
+
+``parse_trades`` reads a file in blocks of about 256 KiB of lines. One
+``np.loadtxt`` call turns a block into columns, and the contract is checked
+on whole arrays. A block goes to the per-row parser, from there to the end
+of the file, when any line in it is not five plain fields in the form
+``write_trades`` writes: a blank line, a quote, a NUL, an offset other than
+``Z``, a fraction of other than 6 digits, or any error. The per-row parser
+then gives the values, or the error and line number, that reading the whole
+file row by row gives, so both paths agree on every file.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ import re
 from array import array
 from dataclasses import asdict, dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -25,6 +35,17 @@ __all__ = [
 ]
 
 TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
+_HEADER_LINE = ",".join(TRADE_HEADER) + "\n"
+_BLOCK_CHARS = 1 << 18          # about 3,000 lines per np.loadtxt call, which bounds its memory
+# One parsed line of a block. loadtxt cuts a longer string to the field width
+# without a word, so a timestamp field holds one byte more than the longest
+# accepted shape: a cut string is never of an accepted length.
+_ROW = np.dtype([("delivery", "S28"), ("side", "S2"), ("price", "f8"), ("volume", "f8"),
+                 ("time", "S28")])
+_STAMP_SHAPES = (b"9999-99-99T99:99:99Z", b"9999-99-99T99:99:99.999999Z")
+_SHAPE_OF = np.arange(256, dtype=np.uint8)     # a byte's class in a shape: "9" for a digit
+_SHAPE_OF[ord("0"):ord("9") + 1] = ord("9")
+_YEAR_1 = np.datetime64("0001-01-01", "us")
 
 # gate closure offsets by market area, minutes before delivery
 DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
@@ -158,46 +179,120 @@ def format_timestamp(dt: datetime) -> str:
 
 def parse_trades(path) -> Trades:
     """Read a trade CSV in file order, rejecting malformed rows with their
-    line number."""
+    line number.
+
+    Lines are read in blocks of about ``_BLOCK_CHARS`` characters, each parsed
+    as whole columns by ``_parse_block``. From the first block that it does
+    not accept, the rest of the file goes through the per-row parser
+    ``_parse_rows``, which reports every error, so a quoted field may span
+    lines and lines are still counted as csv records. A file whose first line
+    is not the exact header, or that is not valid UTF-8, goes through it whole.
+    """
+    parts = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            first = fh.readline()
+            lines, start = [first] if first else [], 1
+            if first == _HEADER_LINE:
+                lines, start = [], 2
+                while (lines := fh.readlines(_BLOCK_CHARS)) and (block := _parse_block(lines)) is not None:
+                    parts.append(block)
+                    start += len(lines)
+            parts.append(_parse_rows(chain(lines, fh), start))
+    except UnicodeDecodeError:     # raise it only where reading row by row would
+        with open(path, newline="", encoding="utf-8") as fh:
+            return _parse_rows(fh, 1)
+    return Trades.concat(parts)
+
+
+def _parse_block(lines: list[str]) -> Trades | None:
+    """Data lines as whole columns, or None unless every line holds five
+    plain fields that ``_parse_rows`` reads to the same values: timestamps
+    ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``, side ``+`` or ``-``, finite price,
+    finite positive volume, and transaction before delivery. A blank line, a
+    quote, a NUL, another offset or any error returns None."""
+    try:
+        rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    # loadtxt skips blank lines, and a NUL ends a numpy string early
+    if len(rows) != len(lines) or "\0" in "".join(lines):
+        return None
+    side, price, volume = rows["side"], rows["price"], rows["volume"]
+    buy = side == b"+"
+    if not ((buy | (side == b"-")).all() and np.isfinite(price).all()
+            and (np.isfinite(volume) & (volume > 0)).all()):
+        return None
+    delivery = rows["delivery"]
+    heads = np.flatnonzero(np.r_[True, delivery[1:] != delivery[:-1]])   # runs of one delivery
+    delivery, time = _stamps_us(delivery[heads]), _stamps_us(rows["time"].copy())
+    if delivery is None or time is None:
+        return None
+    delivery = np.repeat(delivery, np.diff(np.r_[heads, len(rows)]))
+    if not (time < delivery).all():
+        return None
+    return Trades(delivery, time, np.where(buy, np.int8(1), np.int8(-1)), price.copy(), volume.copy())
+
+
+def _stamps_us(stamps: np.ndarray) -> np.ndarray | None:
+    """µs since the epoch of ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z`` strings (a
+    contiguous ``_ROW`` timestamp array, overwritten), or None when one has
+    another shape, year 0 or a field out of range."""
+    codes = stamps.view(np.uint8).reshape(len(stamps), -1)
+    shapes = _SHAPE_OF[codes].view(stamps.dtype).ravel()
+    if not ((shapes == _STAMP_SHAPES[0]) | (shapes == _STAMP_SHAPES[1])).all():
+        return None
+    codes[codes == ord("Z")] = 0      # numpy reads a zone designator with a warning
+    try:
+        us = stamps.astype("datetime64[us]")
+    except ValueError:                # month, day, hour, minute or second out of range
+        return None
+    return None if (us < _YEAR_1).any() else us.view(np.int64)
+
+
+def _parse_rows(lines, start: int) -> Trades:
+    """Parse the csv records of ``lines`` one by one, numbering them from
+    ``start``; record 1 is the header."""
     columns = (array("q"), array("q"), array("b"), array("d"), array("d"))
     deliveries, times, sides, prices, volumes = columns
     delivery_us: dict[str, int] = {}    # each distinct delivery text, parsed once
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(lines)
+    if start == 1:
         header = next(reader, None)
         if header is None:
             raise ParseError("line 1: empty file, expected header")
         if header != TRADE_HEADER:
             raise ParseError(f"line 1: expected header {','.join(TRADE_HEADER)}, got {','.join(header)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 5:
-                raise ParseError(f"line {lineno}: expected 5 columns, got {len(row)}")
-            try:
-                delivery = delivery_us.get(row[0])
-                if delivery is None:
-                    delivery = delivery_us[row[0]] = Trades.to_us(parse_timestamp(row[0]))
-                transaction = Trades.to_us(parse_timestamp(row[4]))
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad timestamp ({exc})") from exc
-            if row[1] not in ("+", "-"):
-                raise ParseError(f"line {lineno}: side must be '+' or '-', got {row[1]!r}")
-            try:
-                price, volume = float(row[2]), float(row[3])
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: bad numeric field ({exc})") from exc
-            if not math.isfinite(price):
-                raise ParseError(f"line {lineno}: price must be finite")
-            if not (math.isfinite(volume) and volume > 0):
-                raise ParseError(f"line {lineno}: volume must be > 0, got {row[3]}")
-            if not transaction < delivery:
-                raise ParseError(f"line {lineno}: transaction_time must precede delivery_start")
-            deliveries.append(delivery)
-            times.append(transaction)
-            sides.append(1 if row[1] == "+" else -1)
-            prices.append(price)
-            volumes.append(volume)
+        start = 2
+    for lineno, row in enumerate(reader, start=start):
+        if not row:
+            continue
+        if len(row) != 5:
+            raise ParseError(f"line {lineno}: expected 5 columns, got {len(row)}")
+        try:
+            delivery = delivery_us.get(row[0])
+            if delivery is None:
+                delivery = delivery_us[row[0]] = Trades.to_us(parse_timestamp(row[0]))
+            transaction = Trades.to_us(parse_timestamp(row[4]))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad timestamp ({exc})") from exc
+        if row[1] not in ("+", "-"):
+            raise ParseError(f"line {lineno}: side must be '+' or '-', got {row[1]!r}")
+        try:
+            price, volume = float(row[2]), float(row[3])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: bad numeric field ({exc})") from exc
+        if not math.isfinite(price):
+            raise ParseError(f"line {lineno}: price must be finite")
+        if not (math.isfinite(volume) and volume > 0):
+            raise ParseError(f"line {lineno}: volume must be > 0, got {row[3]}")
+        if not transaction < delivery:
+            raise ParseError(f"line {lineno}: transaction_time must precede delivery_start")
+        deliveries.append(delivery)
+        times.append(transaction)
+        sides.append(1 if row[1] == "+" else -1)
+        prices.append(price)
+        volumes.append(volume)
     return Trades(*(np.array(c) for c in columns))
 
 

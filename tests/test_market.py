@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderfusion import market
 from orderfusion.baselines import feature_last_price
 from orderfusion.market import (
     MarketConfig,
@@ -293,6 +294,130 @@ def test_parse_table(tmp_path, text, expected):
         assert str(info.value) == expected
     else:
         assert_bitwise(parse_trades(path), expected)
+
+
+# Rows the block parse leaves to the per-row parser, valid or not, each
+# injected into a written market at the first and last line of a block and
+# just past a blank line.
+EXOTIC_ROWS = [
+    "\n",
+    " \n",
+    ROW.replace("\n", "\r\n"),
+    ",".join(f'"{f}"' for f in ROW.rstrip("\n").split(",")) + "\n",
+    row(delivery="2024-07-23T19:00:00+01:00"),
+    row(time="2024-07-23 16:00:00Z"),
+    row(time="2024-07-23T16:00:00.5Z"),
+    row(time="2024-07-23T16:00:00.000000Z"),
+    row(price=" 50.5 "),
+    row(price="1_0"),
+    row(volume="0"),
+    row(price="nan"),
+    row(volume="inf"),
+    row(side="x"),
+    row(side="+\0"),
+    row(price="50.5\0"),
+    ROW.rsplit(",", 1)[0] + "\n",
+    ROW.replace("\n", ",\n"),
+    row(time="2024-07-23T24:00:00Z"),
+    row(time="2024-07-23T16:00:60Z"),
+    row(delivery="2023-02-29T18:00:00Z"),
+    row(time="0000-07-23T16:00:00Z"),
+    row(time="+024-07-23T16:00:00Z"),
+    row(time="2024-07-23T16:00+01Z"),
+    row(time="2024-07-23t16:00:00Z"),
+    row(time="2024-07-23T16:00:00.1234567Z"),
+    row(time="2024-07-23T16:00:00.123456Zjunk"),
+    row(delivery="2024-07-23T18:00:00.000000Z0"),
+    row(time="٢٠٢٤-07-23T16:00:00Z"),
+    row(time=D),
+]
+
+
+def outcome(parse, path):
+    """The columns and dtypes ``parse`` reads from ``path``, or its error."""
+    try:
+        trades = parse(path)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(getattr(trades, f).dtype, getattr(trades, f).tobytes())
+            for f in ("delivery", "time", "side", "price", "volume")]
+
+
+def per_row(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return market._parse_rows(fh, 1)
+
+
+def block_sizes(path, hint):
+    """Lines per block as ``parse_trades`` reads ``path``, header excluded."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        fh.readline()
+        return [len(lines) for lines in iter(lambda: fh.readlines(hint), [])]
+
+
+class TestBlockParse:
+    """``parse_trades`` against the per-row parser it falls back on."""
+
+    @pytest.fixture(scope="class")
+    def lines(self, tmp_path_factory):
+        """The data lines of a written market of 200 trades, some at whole seconds."""
+        rng = np.random.default_rng(8)
+        delivery = Trades.to_us(DELIVERY) + 3_600_000_000 * np.sort(rng.integers(0, 6, 200))
+        time = delivery - rng.integers(1, 14_400_000_000, 200)
+        time[rng.random(200) < 0.3] //= 1_000_000
+        time[time < delivery - 14_400_000_000] *= 1_000_000
+        trades = Trades(delivery, time, np.where(rng.random(200) < 0.5, 1, -1).astype(np.int8),
+                        rng.normal(80, 25, 200), rng.lognormal(0.5, 1.0, 200))
+        path = tmp_path_factory.mktemp("block") / "trades.csv"
+        write_trades(path, trades)
+        return path.read_text(encoding="utf-8").splitlines(keepends=True)[1:]
+
+    def test_clean_market_never_reaches_per_row_parser(self, tmp_path, monkeypatch, lines):
+        path = tmp_path / "trades.csv"
+        path.write_text(HEADER + "".join(lines), encoding="utf-8")
+        expected = outcome(per_row, path)
+        records, parse_rows = [], market._parse_rows
+
+        def spy(rows, start):
+            records.extend(rows)
+            return parse_rows(records, start)
+
+        monkeypatch.setattr(market, "_parse_rows", spy)
+        monkeypatch.setattr(market, "_BLOCK_CHARS", 1000)
+        assert len(block_sizes(path, 1000)) > 10
+        assert outcome(parse_trades, path) == expected
+        assert records == []
+
+    def test_undecodable_byte_after_a_bad_row(self, tmp_path):
+        """The bad row is reported, as when the file is read row by row: the
+        undecodable byte lies past the first 8 KiB the reader decodes, but
+        inside the first block."""
+        path = tmp_path / "trades.csv"
+        path.write_bytes((HEADER + ROW + BAD + ROW * 200).encode() + b"\xff\n")
+        with pytest.raises(ParseError, match="^line 3: volume must be > 0, got 0$"):
+            parse_trades(path)
+        path.write_bytes((HEADER + ROW * 200).encode() + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            parse_trades(path)
+
+    @pytest.mark.parametrize("place", ["first line of the file", "first line of a block",
+                                       "last line of a block", "past a blank line"])
+    @pytest.mark.parametrize("exotic", EXOTIC_ROWS, ids=repr)
+    def test_matches_per_row_parser(self, tmp_path, monkeypatch, lines, exotic, place):
+        before = {"first line of the file": 0, "past a blank line": 30}.get(place, 20)
+        injected = ["\n", exotic] if place == "past a blank line" else [exotic]
+        # a block ends at the first line that takes its length past the hint
+        size = sum(map(len, lines[:before]))
+        hint = {"first line of a block": size - 1, "last line of a block": size + len(exotic) - 1}.get(
+            place, 1000)
+        path = tmp_path / "trades.csv"
+        path.write_text(HEADER + "".join(lines[:before] + injected + lines[before:]), encoding="utf-8")
+        if place == "first line of a block":
+            assert block_sizes(path, hint)[0] == before
+        if place == "last line of a block":
+            assert block_sizes(path, hint)[0] == before + 1
+        monkeypatch.setattr(market, "_BLOCK_CHARS", hint)
+        assert outcome(parse_trades, path) == outcome(per_row, path)
 
 
 @pytest.mark.parametrize("text, expected", [
