@@ -208,7 +208,7 @@ def _environment() -> dict:
 def write_manifest(out_dir: Path, command: str, config_path, seed, flags: dict, inputs, outputs,
                    started: float):
     """``flags`` are the parsed flags, which the manifest records without
-    ``--out``."""
+    ``--out``. Inputs and outputs are recorded with their SHA-256."""
     manifest = {
         "command": command,
         "config_path": str(config_path) if config_path else None,
@@ -216,7 +216,7 @@ def write_manifest(out_dir: Path, command: str, config_path, seed, flags: dict, 
         "flags": {k: v for k, v in sorted(flags.items()) if k not in ("command", "out")},
         "environment": _environment(),
         "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": [str(p) for p in outputs],
+        "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_clock_seconds": round(time.time() - started, 3),
         "artifact_version": __version__,
     }

@@ -295,6 +295,7 @@ class TestManifest:
         config = [p for p in given if p.endswith(".cfg")]
         assert manifest["config_path"] == (config[0] if config else None)
         assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
+        assert manifest["outputs"] == {p: sha256(p) for p in manifest["outputs"]}
         assert isinstance(manifest["seed"], int)
 
     def test_records_flags_and_environment(self, workspace, tmp_path):
