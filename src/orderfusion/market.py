@@ -7,12 +7,13 @@ point, UTF-8, LF endings. In memory, trades are one ``Trades`` column table.
 
 ``parse_trades`` reads a file in blocks of about 256 KiB of lines. One
 ``np.loadtxt`` call turns a block into columns, and the contract is checked
-on whole arrays. A block goes to the per-row parser, from there to the end
-of the file, when any line in it is not five plain fields in the form
-``write_trades`` writes: a blank line, a quote, a NUL, an offset other than
-``Z``, a fraction of other than 6 digits, or any error. The per-row parser
-then gives the values, or the error and line number, that reading the whole
-file row by row gives, so both paths agree on every file.
+on whole arrays. Every line of an accepted block is five plain fields as
+``write_trades`` writes them, with timestamps ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``.
+From the first block with any other line (a blank line, a quote, a NUL, an
+offset, another fraction length, any error) to the end of the file, the
+per-row parser reads the rows; so does a whole file whose first line is not
+exactly the header, such as one with CRLF line ends. Both paths give the
+same values, or the same error and line number, on every file.
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ __all__ = [
 ]
 
 TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
+
+# gate closure offsets by market area, minutes before delivery
+DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
+
+_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d)(?:\.(\d{1,6}))?([+-]\d\d:\d\d)?",
+                        re.ASCII)
 _HEADER_LINE = ",".join(TRADE_HEADER) + "\n"
 _BLOCK_CHARS = 1 << 18          # about 3,000 lines per np.loadtxt call, which bounds its memory
 # One parsed line of a block. loadtxt cuts a longer string to the field width
@@ -47,11 +54,6 @@ _SHAPE_OF = np.arange(256, dtype=np.uint8)     # a byte's class in a shape: "9" 
 _SHAPE_OF[ord("0"):ord("9") + 1] = ord("9")
 _YEAR_1 = np.datetime64("0001-01-01", "us")
 
-# gate closure offsets by market area, minutes before delivery
-DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
-
-_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d)(?:\.(\d{1,6}))?([+-]\d\d:\d\d)?",
-                        re.ASCII)
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _US = timedelta(microseconds=1)
 
@@ -181,12 +183,13 @@ def parse_trades(path) -> Trades:
     """Read a trade CSV in file order, rejecting malformed rows with their
     line number.
 
-    Lines are read in blocks of about ``_BLOCK_CHARS`` characters, each parsed
-    as whole columns by ``_parse_block``. From the first block that it does
-    not accept, the rest of the file goes through the per-row parser
-    ``_parse_rows``, which reports every error, so a quoted field may span
-    lines and lines are still counted as csv records. A file whose first line
-    is not the exact header, or that is not valid UTF-8, goes through it whole.
+    ``_parse_block`` turns each block of about ``_BLOCK_CHARS`` characters
+    of lines into columns. From the first block it does not accept, the
+    per-row parser ``_parse_rows`` reads the rest of the file, since a
+    quoted field may span lines and line numbers count csv records. It reads
+    a whole file whose first line is not exactly the header, and, again from
+    the start, one that is not valid UTF-8, so that a bad row before the
+    undecodable byte is reported as it is when reading row by row.
     """
     parts = []
     try:
@@ -199,7 +202,7 @@ def parse_trades(path) -> Trades:
                     parts.append(block)
                     start += len(lines)
             parts.append(_parse_rows(chain(lines, fh), start))
-    except UnicodeDecodeError:     # raise it only where reading row by row would
+    except UnicodeDecodeError:
         with open(path, newline="", encoding="utf-8") as fh:
             return _parse_rows(fh, 1)
     return Trades.concat(parts)

@@ -337,7 +337,7 @@ def outcome(parse, path):
     """The columns and dtypes ``parse`` reads from ``path``, or its error."""
     try:
         trades = parse(path)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:           # ParseError is a ValueError
         return type(exc), str(exc)
     return [(getattr(trades, f).dtype, getattr(trades, f).tobytes())
             for f in ("delivery", "time", "side", "price", "volume")]
