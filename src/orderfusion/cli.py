@@ -28,8 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
+# The model, training, baseline and synth modules are imported by the
+# commands that run them, so that a command compiles no module it does not
+# use: ``synth`` imports no model code, and ``train`` no baseline code.
 from . import __version__
-from .baselines import MLPConfig, FEATURE_BASELINES, NAIVE_BASELINES, feature_baseline, naive_baseline
 from .evaluation import evaluate_forecasts, write_metric_report, write_plot_csv
 from .market import (
     MarketConfig,
@@ -41,15 +43,6 @@ from .market import (
     parse_timestamp,
     parse_trades,
 )
-from .model import (
-    ModelConfig,
-    encode_samples,
-    load_checkpoint,
-    save_checkpoint,
-    score_batch,
-)
-from .synth import SynthConfig, write_market
-from .training import DivergenceError, FoldSpec, TrainConfig, grid_search, train
 
 log = logging.getLogger("orderfusion")
 
@@ -107,15 +100,30 @@ def _bool(text: str) -> bool:
 # sets; a field whose annotation is not here (``quantiles``) is no key.
 _CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "datetime": parse_timestamp}
 
-# Each dataclass a config builds, with the prefix of its keys.
-_SECTIONS = ((ModelConfig, ""), (TrainConfig, ""), (SynthConfig, ""), (MLPConfig, "mlp_"))
-
 # Every key a config file may hold, whichever command reads it: one file
-# can serve train, ingest and baseline alike.
-CONFIG_KEYS = frozenset(
-    {prefix + f.name for cls, prefix in _SECTIONS for f in fields(cls) if f.type in _CASTS}
-    | {"seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
-       "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree"})
+# can serve train, ingest and baseline alike. Each key of the first four
+# groups names a field of a config dataclass (the MLP's with the prefix
+# ``mlp_``) whose annotation ``_CASTS`` holds, as ``tests/test_cli.py``
+# checks; they are written out here so that checking a key imports none of
+# the dataclasses' modules.
+CONFIG_KEYS = frozenset({
+    # ModelConfig
+    "hidden_dim", "interaction_degree", "cutoff_exponent", "t_max", "mask_variant",
+    "fusion_variant", "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
+    "projection_bias",
+    # TrainConfig ("seed" is read as a run key)
+    "epochs", "batch_size", "lr0", "decay",
+    # SynthConfig
+    "n_days", "start", "base_price", "vol_per_hour", "vol_hour_amplitude", "anchor_vol",
+    "anchor_reversion", "seasonal_amplitude", "offset_sigma", "jump_intensity_per_hour",
+    "jump_size_mean", "arrival_rate_per_min", "volume_lognorm_mu", "volume_lognorm_sigma",
+    "half_spread", "coupling", "session_minutes",
+    # MLPConfig
+    "mlp_hidden_size", "mlp_n_layers", "mlp_dropout",
+    # run, split and grid
+    "seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
+    "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree",
+})
 
 
 def read_kv_config(path) -> dict[str, str]:
@@ -267,6 +275,8 @@ def _split_samples(samples, cfg: dict):
     (one per delivery, in delivery order) at two delivery boundaries: the
     config's ``train_end`` and ``val_end`` when it gives them, else the
     deliveries that start the validation and test fractions."""
+    from .training import FoldSpec
+
     train_end = _get(cfg, "train_end", parse_timestamp)
     val_end = _get(cfg, "val_end", parse_timestamp)
     if (train_end is None) != (val_end is None):
@@ -302,6 +312,8 @@ def _prepare_training(run: Run):
 
 
 def _predictions_eur(params, config, batch, label_scaler):
+    from .model import score_batch
+
     return label_scaler.inverse(score_batch(params, config, batch))
 
 
@@ -317,6 +329,8 @@ def _result_row(model, fold, index, report, best_of_pair=""):
 
 
 def cmd_synth(run: Run):
+    from .synth import SynthConfig, write_market
+
     synth_cfg = _config(SynthConfig, run.cfg, seed=run.seed)
     delta_c = _market_config(run.args, run.cfg).delta_c_minutes
     trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
@@ -334,6 +348,9 @@ def cmd_ingest(run: Run):
 
 
 def cmd_train(run: Run):
+    from .model import ModelConfig, save_checkpoint
+    from .training import TrainConfig, train
+
     model_config = _config(ModelConfig, run.cfg, seed=run.seed)
     train_cfg = _config(TrainConfig, run.cfg, seed=run.seed)
     market_cfg, train_s, val_s, _, feat, lab = _prepare_training(run)
@@ -352,6 +369,9 @@ def cmd_train(run: Run):
 
 
 def cmd_gridsearch(run: Run):
+    from .model import ModelConfig
+    from .training import TrainConfig, grid_search
+
     cfg = run.cfg
     if run.args.budget is not None and run.args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {run.args.budget}")
@@ -412,6 +432,8 @@ def _read_checkpoint(run: Run):
     """``load_checkpoint`` of ``--checkpoint``; unreadable is a data error.
     The manifest records the checkpoint's seed, the one the forecasts come
     from."""
+    from .model import load_checkpoint
+
     try:
         checkpoint = load_checkpoint(run.args.checkpoint)
     except (ValueError, KeyError, TypeError) as exc:
@@ -422,6 +444,8 @@ def _read_checkpoint(run: Run):
 
 def _score_checkpoint(run: Run, checkpoint):
     """Forecast every delivery in ``--data`` with a read checkpoint."""
+    from .model import encode_samples
+
     config, params, feat, lab, extra = checkpoint
     _, samples, _ = _load_samples(run.args.data, _checkpoint_market(run, extra.get("market")))
     batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
@@ -453,6 +477,9 @@ def cmd_evaluate(run: Run):
 
 
 def cmd_baseline(run: Run):
+    from .baselines import FEATURE_BASELINES, NAIVE_BASELINES, MLPConfig, feature_baseline, naive_baseline
+    from .training import TrainConfig
+
     variant, cfg = run.args.variant, run.cfg
     if variant not in NAIVE_BASELINES and variant not in FEATURE_BASELINES:
         raise UsageError(f"unknown baseline variant {variant!r}; known: "
@@ -479,6 +506,9 @@ def cmd_baseline(run: Run):
 
 
 def cmd_ablate(run: Run):
+    from .model import ModelConfig, encode_samples
+    from .training import TrainConfig, train
+
     variant = run.args.variant
     if variant not in ABLATION_VARIANTS:
         raise UsageError(f"unknown ablation variant {variant!r}; known: "
@@ -631,7 +661,7 @@ def dispatch(argv) -> int:
     except (DataError, ParseError, NoLabelError, FileNotFoundError) as exc:
         log.error("data error: %s", exc)
         return 2
-    except (DivergenceError, FloatingPointError) as exc:
+    except FloatingPointError as exc:      # training's DivergenceError among them
         log.error("numerical failure: %s", exc)
         return 3
 

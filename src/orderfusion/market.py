@@ -40,8 +40,10 @@ TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
 # gate closure offsets by market area, minutes before delivery
 DELTA_C_BY_MARKET = {"DE": 30, "AT": 0}
 
-_TIMESTAMP = re.compile(r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d)(?:\.(\d{1,6}))?([+-]\d\d:\d\d)?",
-                        re.ASCII)
+_TIMESTAMP = re.compile(
+    r"(\d{4}-\d\d-\d\d[T ]\d\d:\d\d:\d\d)(?:\.(\d{1,6}))?([+-](?:[01]\d|2[0-3]):[0-5]\d)?", re.ASCII)
+# What an undecodable byte becomes under errors="surrogateescape".
+_UNDECODED = re.compile("[\udc80-\udcff]")
 _HEADER_LINE = ",".join(TRADE_HEADER) + "\n"
 _BLOCK_CHARS = 1 << 18          # about 3,000 lines per np.loadtxt call, which bounds its memory
 # One parsed line of a block. loadtxt cuts a longer string to the field width
@@ -157,7 +159,8 @@ class IngestReport:
 
 def parse_timestamp(text: str) -> datetime:
     """Parse ``YYYY-MM-DD[T ]HH:MM:SS[.f]`` with 1 to 6 fraction digits and
-    a ``Z`` or ``±HH:MM`` offset, surrounding whitespace ignored, to UTC.
+    a ``Z`` or ``±HH:MM`` offset (hours 00-23, minutes 00-59), surrounding
+    whitespace ignored, to UTC.
 
     The grammar is checked here and not left to ``datetime.fromisoformat``,
     which accepts more from Python 3.11 on (basic format, 7+ fraction digits).
@@ -188,8 +191,9 @@ def parse_trades(path) -> Trades:
     per-row parser ``_parse_rows`` reads the rest of the file, since a
     quoted field may span lines and line numbers count csv records. It reads
     a whole file whose first line is not exactly the header, and, again from
-    the start, one that is not valid UTF-8, so that a bad row before the
-    undecodable byte is reported as it is when reading row by row.
+    the start, one that is not valid UTF-8: there the first line that holds
+    an undecodable byte is a ParseError, and a bad row before it is reported
+    as it is when reading row by row.
     """
     parts = []
     try:
@@ -203,9 +207,19 @@ def parse_trades(path) -> Trades:
                     start += len(lines)
             parts.append(_parse_rows(chain(lines, fh), start))
     except UnicodeDecodeError:
-        with open(path, newline="", encoding="utf-8") as fh:
-            return _parse_rows(fh, 1)
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+            return _parse_rows(_decoded_lines(fh), 1)
     return Trades.concat(parts)
+
+
+def _decoded_lines(fh):
+    """The lines of ``fh``, read with errors="surrogateescape", up to the
+    first one holding an undecodable byte, which raises a ParseError that
+    numbers it as a line of the file."""
+    for lineno, line in enumerate(fh, start=1):
+        if _UNDECODED.search(line):
+            raise ParseError(f"line {lineno}: not valid UTF-8")
+        yield line
 
 
 def _parse_block(lines: list[str]) -> Trades | None:

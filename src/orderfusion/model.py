@@ -20,9 +20,12 @@ bit for bit when no leading row is dead. A side whose trimmed mask is 1
 everywhere gets no mask multiply at all (``x * 1.0 == x``, so that changes
 no bit); on dense markets this holds for whole batches.
 
-``score_batch`` is the scoring entry point: it runs ``predict_batch`` on
-constant views of the parameters, so no graph is kept, in chunks of
-``SCORE_CHUNK_ROWS`` rows, so its memory does not grow with the row count.
+Memory follows one constant, ``BUDGET_BYTES``, not the batch:
+``row_bytes(config)`` bounds what one row costs at the peak of a training
+step, and ``slice_rows(config)`` is how many rows fit in the budget.
+Training runs each minibatch in slices of that many rows, and
+``score_batch``, the scoring entry point, runs ``predict_batch`` in chunks
+of that many rows on constant views of the parameters, so no graph is kept.
 
 Training and scoring compute in ``COMPUTE_DTYPE`` (float32): the tensor
 engine follows its inputs' dtype, and ``train`` and ``score_batch`` cast
@@ -63,7 +66,9 @@ __all__ = [
     "hierarchical_head",
     "predict_batch",
     "score_batch",
-    "SCORE_CHUNK_ROWS",
+    "BUDGET_BYTES",
+    "row_bytes",
+    "slice_rows",
     "COMPUTE_DTYPE",
     "save_checkpoint",
     "load_checkpoint",
@@ -81,12 +86,16 @@ HEAD_VARIANTS = ("hierarchical", "multi", "single")
 _INIT_STREAM = 101
 _MASK_STREAM = 202
 
-# Rows per forward pass of ``score_batch``; the default training batch size.
-SCORE_CHUNK_ROWS = 512
-
 # What ``train`` and ``score_batch`` compute in. Float32 halves the bytes of
 # every activation and runs the matmuls about twice as fast as float64.
 COMPUTE_DTYPE = np.float32
+
+# The bytes one training slice or scoring chunk may take, by ``row_bytes``.
+# At the acceptance shape (H=8, t_max=32, k=1) a 512-row batch stays one
+# slice under every mask variant: 20 KB a row under the dual mask, 47 KB
+# (537 rows) where no cutoff trims rows. A 128-row batch of the paper-like
+# shape (H=64, t_max=128, k=2: 905 KB a row) runs as 5 slices of 25-26 rows.
+BUDGET_BYTES = 24 * 2**20
 
 
 @dataclass(frozen=True)
@@ -517,12 +526,42 @@ def predict_batch(
     return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
 
 
+def row_bytes(config: ModelConfig) -> int:
+    """An upper bound on the bytes one row takes at the peak of a training
+    step in ``COMPUTE_DTYPE``, from the config alone.
+
+    A row's features and masks are indexed out of the split, (t_max, 4) a
+    side. It then computes ``t`` rows a side: ``2**cutoff_exponent`` under
+    the dual mask, whose cutoff makes the rest dead leading rows that
+    ``predict_batch`` trims, else ``t_max``. Each side's graph keeps about
+    3 (t, H) arrays from the projection and, per degree, 4 (t, H) arrays
+    and the (t, t) attention weights; the no-fusion arm keeps the masked
+    (t, 3) rows and their concatenation. Backward holds as many again in
+    gradients, plus the (H, H) weight gradients that a batched matmul forms
+    for every row before summing them. Against tracemalloc's peak per row
+    this is 1.3-1.7x on the shapes ``tests/test_model.py`` measures.
+    """
+    t = 2 ** config.cutoff_exponent if config.mask_variant == "dual" else config.t_max
+    h, k = config.hidden_dim, config.interaction_degree
+    if config.fusion_variant == "no_fusion":
+        graph, weight_grads = 4 * 3 * t, 0
+    else:
+        graph, weight_grads = 2 * (3 * t * h + k * (4 * t * h + t * t)), 3 * h * h
+    return (2 * 4 * config.t_max + 2 * graph + weight_grads) * np.dtype(COMPUTE_DTYPE).itemsize
+
+
+def slice_rows(config: ModelConfig) -> int:
+    """Rows per training slice and per scoring chunk: as many as
+    ``BUDGET_BYTES`` holds at ``row_bytes`` each, and at least one."""
+    return max(1, BUDGET_BYTES // row_bytes(config))
+
+
 def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -> np.ndarray:
     """Forecasts for every row of ``batch`` in scaled space, (n, quantiles),
     as float64.
 
     ``predict_batch`` over a frozen ``COMPUTE_DTYPE`` copy of ``params``,
-    ``SCORE_CHUNK_ROWS`` rows at a time, each chunk cast to that dtype, so
+    ``slice_rows(config)`` rows at a time, each chunk cast to that dtype, so
     scoring keeps no graph, leaves every gradient alone and holds one
     chunk's activations at most. Each chunk trims its own dead leading
     rows, so past one chunk the last bits can differ from a single pass;
@@ -530,7 +569,7 @@ def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -
     """
     frozen = params.frozen(COMPUTE_DTYPE)
     arrays = (batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
-    step = SCORE_CHUNK_ROWS
+    step = slice_rows(config)
     return np.concatenate([
         predict_batch(frozen, config,
                       *(a[i:i + step].astype(COMPUTE_DTYPE, copy=False) for a in arrays)).data

@@ -19,7 +19,7 @@ from . import tensor as T
 from .evaluation import aql
 from .market import Sample
 from .model import (COMPUTE_DTYPE, ModelConfig, ModelParams, encode_samples, init_params,
-                    predict_batch, score_batch)
+                    predict_batch, score_batch, slice_rows)
 
 __all__ = [
     "TrainConfig",
@@ -48,7 +48,7 @@ ADAM_EPSILON = 1e-8
 DECAY_EVERY_EPOCHS = 10
 
 
-class DivergenceError(RuntimeError):
+class DivergenceError(FloatingPointError):
     """Training produced a non-finite loss."""
 
 
@@ -158,12 +158,19 @@ class TrainResult:
 
 
 def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
-         stream: int) -> TrainResult:
+         stream: int, slice_size: int | None = None) -> TrainResult:
     """Minibatch Adam on ``params`` over ``n`` training rows, ending on the
     weights of the best validation epoch. ``batch_loss(rows, rng)`` builds the
     mean loss of those rows, ``rng`` being the epoch's generator after its
     shuffle; ``val_aql()`` scores the current weights on the validation split.
-    The last partial batch of each epoch is kept."""
+    The last partial batch of each epoch is kept.
+
+    A minibatch of more than ``slice_size`` rows (None: no limit) runs as
+    the fewest near-equal row slices of at most that many rows. Each
+    slice's loss is weighted by its share of the minibatch's rows and its
+    backward adds into the leaf gradients, so Adam steps once per minibatch
+    on the gradient of the minibatch's mean loss, up to summation order. A
+    minibatch of one slice runs as one pass, with no weighting."""
     state = OptimizerState.for_params(params)
     history: list[EpochStats] = []
     best_epoch, best_arrays = -1, None
@@ -175,22 +182,26 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
         for start in range(0, n, cfg.batch_size):
             rows = order[start:start + cfg.batch_size]
             params.zero_grad()
-            # The previous step's graph lives until this assignment, on
-            # purpose. Dropping it right after backward lowers the train_wide
-            # peak RSS 117 -> 109 MB but raises wall time, train_small 0.89 ->
-            # 0.98 s and train_wide 0.99 -> 1.05 s (float32, 2 vCPUs, medians
-            # of 12 alternating train commands): glibc trims the freed top of
-            # the heap and the next step faults it back in (minor faults per
-            # train command 20k -> 46k on train_small, 37k -> 58k on
-            # train_wide).
-            loss = batch_loss(rows, rng)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, batch starting {start} (lr={lr})")
-            T.backward(loss)
+            slices = [rows] if slice_size is None else np.array_split(rows, -(-len(rows) // slice_size))
+            for part in slices:
+                # Each slice's graph lives until the next assignment to
+                # ``loss``, on purpose. Dropping it right after backward
+                # lowers the train_wide peak RSS 65.1 -> 56.1 MB but raises
+                # its wall time 0.942 -> 1.033 s and its minor faults 22k ->
+                # 54k (train_small: no wall change beyond noise, faults 20k
+                # -> 39k; float32, 2 vCPUs, one BLAS thread, medians of 8
+                # and 6 alternating train commands): glibc trims the freed
+                # top of the heap and the next slice faults it back in.
+                loss = batch_loss(part, rng)
+                if len(slices) > 1:
+                    loss = loss * (len(part) / len(rows))
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise DivergenceError(
+                        f"non-finite training loss at epoch {epoch}, batch starting {start} (lr={lr})")
+                T.backward(loss)
+                total += value * len(rows)
             adam_step(params, state, lr, cfg)
-            total += value * len(rows)
 
         val = val_aql()
         if not math.isfinite(val):
@@ -229,7 +240,8 @@ def train(
     def val_aql():
         return aql(vb.labels, score_batch(params, model_config, vb), quantiles)
 
-    return _fit(params, len(tb), batch_loss, val_aql, cfg, _SHUFFLE_STREAM)
+    return _fit(params, len(tb), batch_loss, val_aql, cfg, _SHUFFLE_STREAM,
+                slice_rows(model_config))
 
 
 # ---------------------------------------------------------------------------

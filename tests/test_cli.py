@@ -1,8 +1,11 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
+import os
 import re
+import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -11,10 +14,12 @@ import numpy as np
 import pytest
 
 from orderfusion import cli
+from orderfusion.baselines import MLPConfig
 from orderfusion.cli import dispatch, read_kv_config
 from orderfusion.market import MarketConfig, build_dataset, parse_trades
 from orderfusion.model import ModelConfig
 from orderfusion.synth import SynthConfig
+from orderfusion.training import TrainConfig
 
 RUN_CONFIG = """
 # tiny configuration for fast end-to-end runs
@@ -259,6 +264,22 @@ def sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def test_synth_imports_no_model_code(workspace, tmp_path):
+    """A command imports only the modules it runs: ``synth``, in a fresh
+    interpreter, leaves the model and training modules unimported."""
+    src = Path(cli.__file__).resolve().parents[1]
+    script = ("import sys; from orderfusion.cli import dispatch; rc = dispatch(sys.argv[1:]); "
+              "print(rc, *sorted(m for m in sys.modules if m.startswith('orderfusion.')))")
+    proc = subprocess.run([sys.executable, "-c", script, "synth", "--config",
+                           str(workspace / "synth.cfg"), "--out", str(tmp_path / "data")],
+                          env={**os.environ, "PYTHONPATH": str(src), "ORDERFUSION_LOG": "error"},
+                          capture_output=True, text=True, timeout=120)
+    rc, *modules = proc.stdout.split()
+    assert rc == "0", proc.stderr
+    assert "orderfusion.synth" in modules
+    assert "orderfusion.model" not in modules and "orderfusion.training" not in modules, modules
+
+
 class TestManifest:
     @pytest.fixture(scope="class")
     def runs(self, workspace):
@@ -382,6 +403,25 @@ class TestExitCodes:
         bad = tmp_path / "bad.csv"
         bad.write_text("delivery_start,side,price,volume,transaction_time\nnonsense,+,1,1,also\n")
         assert dispatch(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_undecodable_last_line_is_data_error(self, workspace, tmp_path, caplog):
+        data = (workspace / "data" / "trades.csv").read_bytes()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(data + b"\xff")
+        last = data.count(b"\n") + 1
+        assert dispatch(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: line {last}: not valid UTF-8"]
+
+    @pytest.mark.parametrize("offset", ["+01:75", "+24:00"])
+    def test_offset_out_of_range_is_data_error(self, tmp_path, caplog, offset):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("delivery_start,side,price,volume,transaction_time\n"
+                       "2024-07-23T18:00:00Z,+,1,1,2024-07-23T16:00:00Z\n"
+                       f"2024-07-23T18:00:00Z,+,1,1,2024-07-23T16:00:00{offset}\n")
+        assert dispatch(["ingest", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("data error: line 3: bad timestamp"), errors
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_numerical_failure(self, workspace, tmp_path):
@@ -531,9 +571,22 @@ def readme_config_block() -> str:
     return after.split("```", 2)[1].split("\n", 1)[1]
 
 
+# Each dataclass a config builds, with the prefix of its keys.
+SECTIONS = ((ModelConfig, ""), (TrainConfig, ""), (SynthConfig, ""), (MLPConfig, "mlp_"))
+
+
 class TestConfigSchema:
     def test_accepted_keys(self):
         assert cli.CONFIG_KEYS == PARENT_KEYS
+
+    def test_keys_are_the_dataclass_fields(self):
+        """Every field that ``_config`` can cast is a key, and every key
+        outside the run, split and grid keys is such a field."""
+        fields_ = {prefix + f.name for cls, prefix in SECTIONS for f in dataclasses.fields(cls)
+                   if f.type in cli._CASTS}
+        run_keys = {"seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
+                    "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree"}
+        assert cli.CONFIG_KEYS == fields_ | run_keys
 
     def test_readme_lists_every_key_with_its_default(self, tmp_path):
         block = readme_config_block()
@@ -542,7 +595,7 @@ class TestConfigSchema:
         path = tmp_path / "readme.cfg"
         path.write_text(block)
         cfg = read_kv_config(path)
-        for cls, prefix in cli._SECTIONS:
+        for cls, prefix in SECTIONS:
             assert cli._config(cls, cfg, prefix) == cls(), cls
 
     @pytest.mark.parametrize("text, value", [

@@ -169,8 +169,8 @@ def with_price(price):
 
 ZERO_VOLUME = "volume must be > 0, got 0"
 
-# (case, file text, expected rows as (delivery, time, side, price, volume)
-# tuples, or the exact ParseError message)
+# (case, file text or bytes, expected rows as (delivery, time, side, price,
+# volume) tuples, or the exact ParseError message)
 PARSE_TABLE = [
     # file shape
     ("empty file", "", "line 1: empty file, expected header"),
@@ -179,6 +179,12 @@ PARSE_TABLE = [
     ("wrong header", HEADER.replace("delivery_start", "delivery") + ROW,
      "line 1: expected header delivery_start,side,price,volume,transaction_time, "
      "got delivery,side,price,volume,transaction_time"),
+    ("undecodable last line", (HEADER + ROW).encode() + b"\xff", "line 3: not valid UTF-8"),
+    ("undecodable byte in a field", (HEADER + ROW + row(price="5\udcff0")).encode(
+        "utf-8", "surrogateescape"), "line 3: not valid UTF-8"),
+    ("bad row before an undecodable line", (HEADER + BAD).encode() + b"\xff\n",
+     f"line 2: {ZERO_VOLUME}"),
+    ("undecodable header", b"\xff" + HEADER.encode() + ROW.encode(), "line 1: not valid UTF-8"),
     ("utf-8 bom", "\ufeff" + HEADER + ROW,
      "line 1: expected header delivery_start,side,price,volume,transaction_time, "
      "got \ufeffdelivery_start,side,price,volume,transaction_time"),
@@ -227,6 +233,11 @@ PARSE_TABLE = [
     ("offset +01:00", HEADER + row(delivery="2024-07-23T19:00:00+01:00",
                                    time="2024-07-23T17:00:00+01:00"), [GOOD]),
     ("offset -00:00", HEADER + row(time="2024-07-23T16:00:00-00:00"), [GOOD]),
+    ("offset +23:59", HEADER + row(time="2024-07-24T15:59:00+23:59"), [GOOD]),
+    ("offset minute 75", HEADER + row(time="2024-07-23T16:00:00+01:75"),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00:00+01:75')"),
+    ("offset hour 24", HEADER + row(time="2024-07-23T16:00:00+24:00"),
+     "line 2: bad timestamp (Invalid isoformat string: '2024-07-23T16:00:00+24:00')"),
     ("space separator", HEADER + row(time="2024-07-23 16:00:00Z"), [GOOD]),
     ("fraction 1 digit", HEADER + row(time="2024-07-23T16:00:00.5Z"), at_time(16, 0, 0, 500_000)),
     ("fraction 2 digits", HEADER + row(time="2024-07-23T16:00:00.25Z"), at_time(16, 0, 0, 250_000)),
@@ -287,7 +298,7 @@ def assert_bitwise(parsed: Trades, rows: list):
                          ids=[case[0] for case in PARSE_TABLE])
 def test_parse_table(tmp_path, text, expected):
     path = tmp_path / "trades.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     if isinstance(expected, str):
         with pytest.raises(ParseError) as info:
             parse_trades(path)
@@ -397,7 +408,7 @@ class TestBlockParse:
         with pytest.raises(ParseError, match="^line 3: volume must be > 0, got 0$"):
             parse_trades(path)
         path.write_bytes((HEADER + ROW * 200).encode() + b"\xff\n")
-        with pytest.raises(UnicodeDecodeError):
+        with pytest.raises(ParseError, match="^line 202: not valid UTF-8$"):
             parse_trades(path)
 
     @pytest.mark.parametrize("place", ["first line of the file", "first line of a block",
@@ -429,6 +440,12 @@ class TestBlockParse:
     ("2024-07-23T16:00:00.000001+00:00", datetime(2024, 7, 23, 16, 0, 0, 1, tzinfo=UTC)),
     ("2024-07-23T17:00:00+01:00", datetime(2024, 7, 23, 16, tzinfo=UTC)),
     ("2024-07-23T13:30:00.5-02:30", datetime(2024, 7, 23, 16, 0, 0, 500_000, tzinfo=UTC)),
+    ("2024-07-24T15:59:00+23:59", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    ("2024-07-22T16:01:00-23:59", datetime(2024, 7, 23, 16, tzinfo=UTC)),
+    ("2024-07-23T16:00:00+01:75", None),        # offset minute past 59
+    ("2024-07-23T16:00:00+01:60", None),
+    ("2024-07-23T16:00:00+24:00", None),        # offset hour past 23
+    ("2024-07-23T16:00:00-99:00", None),
     ("2024-07-23T16:00:00.1234567Z", None),     # 7 fraction digits
     ("20240723T160000Z", None),                 # basic format
     ("2024-07-23X16:00:00Z", None),             # separator other than T or space

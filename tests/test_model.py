@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import tracemalloc
 import weakref
 from datetime import datetime, timedelta, timezone
 
@@ -14,7 +15,6 @@ from orderfusion import tensor as T
 from orderfusion.market import Sample
 from orderfusion.model import (
     COMPUTE_DTYPE,
-    SCORE_CHUNK_ROWS,
     ModelConfig,
     aggregate_and_pool,
     cross_attention_fuse,
@@ -624,32 +624,40 @@ class TestScoreBatch:
         return predict_batch(params.frozen(dtype), config, b.buy, b.sell,
                              b.mask_buy, b.mask_sell).data.astype(np.float64)
 
-    @pytest.mark.parametrize("n", [1, 37, SCORE_CHUNK_ROWS])
+    # rows per chunk of ``_case``'s configs, under either mask variant
+    CHUNK = M.slice_rows(small_config(hidden_dim=4, interaction_degree=2, cutoff_exponent=4,
+                                      t_max=16))
+
+    @pytest.mark.parametrize("n", [1, 37, CHUNK])
     def test_bitwise_up_to_one_chunk(self, n):
         config, params, b = self._case(n)
+        assert M.slice_rows(config) == self.CHUNK
         ref = self._one_pass(params, config, b)
         assert score_batch(params, config, b).tobytes() == ref.tobytes()
 
     def _chunked_case(self, mask_variant):
         """Three chunks; the later two trim more dead leading rows than one
         pass over every row does."""
-        n = 2 * SCORE_CHUNK_ROWS + 100
+        n = 2 * self.CHUNK + 100
         config, params, b = self._case(n, mask_variant)
+        assert M.slice_rows(config) == self.CHUNK
         whole = M._dead_lead(b.mask_buy, b.mask_sell)
-        tail = slice(SCORE_CHUNK_ROWS, None)
+        tail = slice(self.CHUNK, None)
         assert M._dead_lead(b.mask_buy[tail], b.mask_sell[tail]) > whole
         return config, params, b
 
     @staticmethod
     def _chunk_passes(params, config, b, dtype):
-        """``predict_batch`` over each ``SCORE_CHUNK_ROWS`` chunk alone, in
-        ``dtype``, concatenated as float64."""
+        """``predict_batch`` over each ``CHUNK`` rows alone, in ``dtype``,
+        concatenated as float64."""
+        step = TestScoreBatch.CHUNK
+
         def rows(i):
-            return dataclasses.replace(b, **{name: getattr(b, name)[i:i + SCORE_CHUNK_ROWS] for name in
+            return dataclasses.replace(b, **{name: getattr(b, name)[i:i + step] for name in
                                              ("buy", "sell", "mask_buy", "mask_sell", "labels")})
 
         return np.concatenate([TestScoreBatch._one_pass(params, config, rows(i), dtype)
-                               for i in range(0, len(b), SCORE_CHUNK_ROWS)])
+                               for i in range(0, len(b), step)])
 
     @pytest.mark.parametrize("mask_variant", ["dual", "reverse"])
     def test_chunks_agree_with_one_pass(self, mask_variant):
@@ -675,6 +683,45 @@ class TestScoreBatch:
     def test_empty_batch(self):
         config, params, _ = self._case(1)
         assert score_batch(params, config, encode_samples([], config)).shape == (0, 7)
+
+
+class TestRowBytes:
+    @staticmethod
+    def _peak_per_row(config, n):
+        """tracemalloc's peak per row over one training step's slice of
+        ``n`` rows in ``COMPUTE_DTYPE``: the rows indexed out of the split,
+        the forward pass and backward."""
+        rng = np.random.default_rng(43)
+        samples = [make_sample(rng, config.t_max, config.t_max) for _ in range(2 * n)]
+        b = encode_samples(samples, config).astype(COMPUTE_DTYPE)
+        params = init_params(config).astype(COMPUTE_DTYPE)
+        rows = np.arange(0, 2 * n, 2)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            pred = predict_batch(params, config, b.buy[rows], b.sell[rows],
+                                 b.mask_buy[rows], b.mask_sell[rows])
+            T.backward(aql_loss(pred, T.constant(b.labels[rows]), config.quantiles))
+            return (tracemalloc.get_traced_memory()[1] - base) / n
+        finally:
+            tracemalloc.stop()
+
+    # (hidden_dim, degree, cutoff_exponent, t_max): the two benchmark shapes
+    # and the default grid's largest cell on the acceptance market
+    @pytest.mark.parametrize("shape", [(8, 1, 4, 32), (64, 2, 6, 128), (512, 4, 4, 32)],
+                             ids=["train_small", "train_wide", "grid_h512_k4"])
+    def test_bounds_the_measured_peak(self, shape):
+        hidden_dim, degree, alpha, t_max = shape
+        config = ModelConfig(hidden_dim=hidden_dim, interaction_degree=degree,
+                             cutoff_exponent=alpha, t_max=t_max)
+        peak = self._peak_per_row(config, 16)
+        assert peak <= M.row_bytes(config) <= 4 * peak
+
+    def test_slice_rows_fill_the_budget(self):
+        small = small_config()
+        assert M.slice_rows(small) == M.BUDGET_BYTES // M.row_bytes(small)
+        huge = small_config(hidden_dim=4096, t_max=64, cutoff_exponent=6)
+        assert M.row_bytes(huge) > M.BUDGET_BYTES and M.slice_rows(huge) == 1
 
 
 class TestParamCount:

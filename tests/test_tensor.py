@@ -168,6 +168,46 @@ class TestSoftmax:
         folded = T.softmax_rows(T.constant(x), 0.125).data
         assert (folded == T.softmax_rows(T.constant(x * 0.125)).data).all()
 
+    @staticmethod
+    def _max_then_clamp(x, scale, lead):
+        """The forward pass as written before the row max took an initial
+        value: a plain max, then a clamp at 0 when ``lead`` is set."""
+        s = np.multiply(x, scale)
+        m = s.max(axis=-1, keepdims=True)
+        if lead:
+            np.maximum(m, 0.0, out=m)
+        np.subtract(s, m, out=s)
+        np.exp(s, out=s)
+        denom = s.sum(axis=-1, keepdims=True)
+        if lead:
+            np.negative(m, out=m)
+            denom += lead * np.exp(m)
+        np.divide(s, denom, out=s)
+        return s
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [0, 1, 7])
+    @pytest.mark.parametrize("scale", [1.0, 0.125])
+    def test_row_max_is_bitwise_max_then_clamp(self, dtype, lead, scale):
+        rng = np.random.default_rng(41)
+        x = rng.normal(scale=4.0, size=(6, 9, 16)).astype(dtype)
+        x[0, 0, 3], x[0, 1, 0], x[0, 2, 15] = np.inf, -np.inf, np.nan
+        x[0, 3] = np.inf                        # rows of one value throughout
+        x[0, 4] = -np.inf
+        x[0, 5] = np.nan
+        x[0, 6, ::2], x[0, 6, 1::2] = np.inf, -np.inf
+        x[1, :4] = -0.0                         # a max of -0.0 against the clamp's 0.0
+        x[1, 4, 5] = 0.0
+        x[1, 5:] = -np.abs(x[1, 5:]) - 0.5      # all negative: the clamp decides the max
+        x[2] = -np.abs(x[2]) - 1000.0           # exp(-rowmax) overflows under the clamp
+        x[3] = np.abs(x[3])
+        x[4, :, :15] = -0.0
+        with np.errstate(all="ignore"):
+            got = T.softmax_rows(T.constant(x), scale, lead).data
+            want = self._max_then_clamp(x, scale, lead)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
     def test_gradient_with_lead_and_scale_matches_fd(self):
         rng = np.random.default_rng(27)
         x = rng.normal(size=(2, 3, 4))

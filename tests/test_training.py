@@ -1,18 +1,24 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderfusion import model as M
 from orderfusion import tensor as T
 from orderfusion import training
+from orderfusion.cli import dispatch
 from orderfusion.evaluation import aql
 from orderfusion.market import Sample
 from orderfusion.model import (COMPUTE_DTYPE, ModelConfig, encode_samples, init_params,
-                               predict_batch, score_batch)
+                               predict_batch, score_batch, slice_rows)
 from orderfusion.training import (
     DivergenceError,
     FoldSpec,
@@ -304,6 +310,110 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=5, batch_size=128, lr0=1e160, seed=1)
         with pytest.raises(DivergenceError):
             train(self.CONFIG, train_s, val_s, cfg)
+
+
+def mixed_samples(rng, n, t_max):
+    """Scaled samples, every sixth with full sides and the rest with 4-row
+    sides, so that row slices trim different numbers of dead leading rows."""
+    full = synthetic_scaled_samples(rng, n, t_max)
+    short = synthetic_scaled_samples(rng, n, 4)
+    return [full[i] if i % 6 == 0 else short[i] for i in range(n)]
+
+
+# the benchmark's two shapes: (hidden_dim, degree, cutoff_exponent, t_max)
+BENCH_SHAPES = {"train_small": (8, 1, 4, 32), "train_wide": (64, 2, 6, 128)}
+
+
+def shape_config(name, **kw):
+    hidden_dim, degree, alpha, t_max = BENCH_SHAPES[name]
+    return ModelConfig(hidden_dim=hidden_dim, interaction_degree=degree, cutoff_exponent=alpha,
+                       t_max=t_max, seed=5, **kw)
+
+
+class TestRowSlices:
+    @pytest.mark.parametrize("mask_variant", ["dual", "none", "random", "reverse"])
+    def test_budget_splits_only_the_wide_batch(self, mask_variant):
+        assert slice_rows(shape_config("train_small", mask_variant=mask_variant)) >= 512
+        assert slice_rows(shape_config("train_wide", mask_variant=mask_variant)) < 128
+
+    def test_one_slice_is_one_pass(self, monkeypatch):
+        """At the acceptance shape a 512-row batch is one slice, which runs
+        as a plain pass over the batch: weights and history are bitwise
+        those of training with no slicing."""
+        config = shape_config("train_small")
+        rng = np.random.default_rng(29)
+        samples = mixed_samples(rng, 700, config.t_max)
+        cfg = TrainConfig(epochs=2, batch_size=512, seed=5)
+        sliced = train(config, samples[:600], samples[600:], cfg)
+        monkeypatch.setattr(training, "slice_rows", lambda config: None)
+        whole = train(config, samples[:600], samples[600:], cfg)
+        assert [(h.train_aql, h.val_aql) for h in sliced.history] == \
+            [(h.train_aql, h.val_aql) for h in whole.history]
+        for p in whole.params:
+            assert sliced.params[p.name].value.data.tobytes() == p.value.data.tobytes(), p.name
+
+    @pytest.mark.parametrize("shape, n, size", [("train_small", 96, 7), ("train_wide", 24, 5)])
+    def test_sliced_gradient_matches_one_pass(self, monkeypatch, shape, n, size):
+        """In float64, the gradient that reaches Adam from uneven row slices
+        is the one-pass gradient of the minibatch's mean loss to 1e-12, and
+        so is the epoch's training loss."""
+        config = shape_config(shape)
+        b = encode_samples(mixed_samples(np.random.default_rng(31), n, config.t_max), config)
+        params = init_params(config)
+        leads = set()
+
+        def batch_loss(rows, rng):
+            leads.add(M._dead_lead(b.mask_buy[rows], b.mask_sell[rows]))
+            pred = predict_batch(params, config, b.buy[rows], b.sell[rows],
+                                 b.mask_buy[rows], b.mask_sell[rows])
+            return aql_loss(pred, T.constant(b.labels[rows]), config.quantiles)
+
+        def first_gradient(slice_size):
+            steps = []
+            monkeypatch.setattr(training, "adam_step", lambda params, *_: steps.append(
+                {p.name: p.grad.copy() for p in params}))
+            result = training._fit(params, n, batch_loss, lambda: 0.0,
+                                   TrainConfig(epochs=1, batch_size=n), 0, slice_size)
+            assert len(steps) == 1
+            return steps[0], result.history[0].train_aql
+
+        one, loss_one = first_gradient(None)
+        leads.clear()
+        sliced, loss_sliced = first_gradient(size)
+        assert len(leads) > 1       # the slices trim different numbers of dead leading rows
+        for name, g in one.items():
+            np.testing.assert_allclose(sliced[name], g, rtol=1e-12, atol=1e-12 * np.abs(g).max(),
+                                       err_msg=name)
+        assert loss_sliced == pytest.approx(loss_one, rel=1e-12, abs=0)
+
+    @pytest.mark.slow
+    def test_paper_shape_peak_does_not_follow_the_batch(self, tmp_path):
+        """``train`` at the paper-like shape with 512-row batches, one epoch
+        on a 31-day market, in its own process: its peak RSS stays below
+        150 MB (317 MB when a batch ran as one pass; batch 128 peaks near
+        66 MB)."""
+        (tmp_path / "synth.cfg").write_text("seed = 31\nn_days = 31\narrival_rate_per_min = 0.8\n")
+        (tmp_path / "run.cfg").write_text(
+            "seed = 31\nhidden_dim = 64\ninteraction_degree = 2\ncutoff_exponent = 6\n"
+            "t_max = 128\nbatch_size = 512\nepochs = 1\n")
+        assert dispatch(["synth", "--config", str(tmp_path / "synth.cfg"),
+                         "--out", str(tmp_path / "market")]) == 0
+        src = Path(training.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "ORDERFUSION_LOG": "error",
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        # A child's ru_maxrss counts the memory of the process that started
+        # it (Linux folds it in at exec), so a small interpreter starts train.
+        launcher = ("import os, subprocess, sys; proc = subprocess.Popen(sys.argv[1:]); "
+                    "_, status, usage = os.wait4(proc.pid, 0); "
+                    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        out = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-m", "orderfusion.cli",
+                              "train", "--config", str(tmp_path / "run.cfg"),
+                              "--data", str(tmp_path / "market" / "trades.csv"),
+                              "--out", str(tmp_path / "train")],
+                             env=env, capture_output=True, text=True, timeout=600, check=True)
+        code, maxrss_kb = map(int, out.stdout.split())
+        assert code == 0, out.stderr
+        assert maxrss_kb / 1024 < 150, f"peak RSS {maxrss_kb / 1024:.1f} MB"
 
 
 class TestRollingFolds:
