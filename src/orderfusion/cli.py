@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import math
@@ -127,8 +128,15 @@ CONFIG_KEYS = frozenset({
 
 
 def read_kv_config(path) -> dict[str, str]:
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start].decode("utf-8")
+        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        raise DataError(f"{path}:{lineno}: not valid UTF-8") from exc
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with io.StringIO(text, newline=None) as fh:     # universal newlines, as open() reads
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

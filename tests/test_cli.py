@@ -413,6 +413,13 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == [f"data error: line {last}: not valid UTF-8"]
 
+    def test_undecodable_config_is_data_error(self, tmp_path, caplog):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"seed = 1\r\n# comment\rn_days = \xff\n")
+        assert dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {cfg}:3: not valid UTF-8"]
+
     @pytest.mark.parametrize("offset", ["+01:75", "+24:00"])
     def test_offset_out_of_range_is_data_error(self, tmp_path, caplog, offset):
         bad = tmp_path / "bad.csv"

@@ -707,7 +707,7 @@ class TestRowBytes:
             tracemalloc.stop()
 
     # (hidden_dim, degree, cutoff_exponent, t_max): the two benchmark shapes
-    # and the default grid's largest cell on the acceptance market
+    # and a cell of the default grid at its widest hidden_dim and degree
     @pytest.mark.parametrize("shape", [(8, 1, 4, 32), (64, 2, 6, 128), (512, 4, 4, 32)],
                              ids=["train_small", "train_wide", "grid_h512_k4"])
     def test_bounds_the_measured_peak(self, shape):

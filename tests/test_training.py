@@ -390,8 +390,8 @@ class TestRowSlices:
     def test_paper_shape_peak_does_not_follow_the_batch(self, tmp_path):
         """``train`` at the paper-like shape with 512-row batches, one epoch
         on a 31-day market, in its own process: its peak RSS stays below
-        150 MB (317 MB when a batch ran as one pass; batch 128 peaks near
-        66 MB)."""
+        150 MB (318 MB when a batch ran as one pass; batch 128 peaks near
+        74 MB)."""
         (tmp_path / "synth.cfg").write_text("seed = 31\nn_days = 31\narrival_rate_per_min = 0.8\n")
         (tmp_path / "run.cfg").write_text(
             "seed = 31\nhidden_dim = 64\ninteraction_degree = 2\ncutoff_exponent = 6\n"
