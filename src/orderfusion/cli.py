@@ -33,7 +33,7 @@ import numpy as np
 # commands that run them, so that a command compiles no module it does not
 # use: ``synth`` imports no model code, and ``train`` no baseline code.
 from . import __version__
-from .evaluation import evaluate_forecasts, write_metric_report, write_plot_csv
+from .evaluation import evaluate_forecasts, write_plot_csv
 from .market import (
     MarketConfig,
     NoLabelError,
@@ -57,7 +57,7 @@ ABLATION_VARIANTS = {
     "no_mask": {"mask_variant": "none"},
     "random_mask": {"mask_variant": "random"},
     "reverse_mask": {"mask_variant": "reverse"},
-    "no_fusion": {"fusion_variant": "no_fusion"},
+    "no_fusion": {"interaction_degree": 0},
     "k1": {"interaction_degree": 1},
     "k2": {"interaction_degree": 2},
     "k4": {"interaction_degree": 4},
@@ -88,18 +88,9 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-_BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
-
-
-def _bool(text: str) -> bool:
-    if text.lower() not in _BOOLS:
-        raise ValueError("expected one of " + " ".join(_BOOLS))
-    return _BOOLS[text.lower()]
-
-
 # The cast of a config value, by the annotation of the dataclass field it
 # sets; a field whose annotation is not here (``quantiles``) is no key.
-_CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "datetime": parse_timestamp}
+_CASTS = {"int": int, "float": float, "str": str, "datetime": parse_timestamp}
 
 # Every key a config file may hold, whichever command reads it: one file
 # can serve train, ingest and baseline alike. Each key of the first four
@@ -110,8 +101,7 @@ _CASTS = {"int": int, "float": float, "str": str, "bool": _bool, "datetime": par
 CONFIG_KEYS = frozenset({
     # ModelConfig
     "hidden_dim", "interaction_degree", "cutoff_exponent", "t_max", "mask_variant",
-    "fusion_variant", "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
-    "projection_bias",
+    "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
     # TrainConfig ("seed" is read as a run key)
     "epochs", "batch_size", "lr0", "decay",
     # SynthConfig
@@ -420,13 +410,20 @@ def cmd_gridsearch(run: Run):
 
 def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
     """The market a checkpoint was trained on, as ``train`` records it. A
-    checkpoint that records none, or flags that contradict it, are a data
-    error."""
+    checkpoint that records none, or a malformed one, or flags that
+    contradict it, are a data error."""
     args = run.args
     if recorded is None:
         raise DataError(f"{args.checkpoint}: records no market (extra.market)")
-    market_cfg = MarketConfig(index_x=int(recorded["index"]),
-                              delta_c_minutes=int(recorded["delta_c_minutes"]))
+    for key in ("index", "delta_c_minutes"):
+        value = recorded.get(key) if isinstance(recorded, dict) else None
+        if type(value) is not int:
+            raise DataError(f"{args.checkpoint}: extra.market.{key} is {value!r}, not an integer")
+    try:
+        market_cfg = MarketConfig(index_x=recorded["index"],
+                                  delta_c_minutes=recorded["delta_c_minutes"])
+    except ValueError as exc:
+        raise DataError(f"{args.checkpoint}: bad extra.market: {exc}") from exc
     if ((args.market and MarketConfig.for_market(args.market, 1).delta_c_minutes
          != market_cfg.delta_c_minutes)
             or (args.index and args.index != market_cfg.index_x)):
@@ -475,8 +472,7 @@ def cmd_evaluate(run: Run):
                         "level, and evaluate's AQCR and AIW need the full set; use predict")
     config, batch, y_true, forecasts = _score_checkpoint(run, checkpoint)
     report = evaluate_forecasts(y_true, forecasts, config.head_quantiles)
-    report_path = run.out / "metrics.json"
-    write_metric_report(report_path, report)
+    report_path = _write_json(run.out / "metrics.json", report.to_dict())
     plot_path = run.out / "predictions.csv"
     write_plot_csv(plot_path, batch.delivery_starts, y_true, forecasts, config.head_quantiles)
     log.info("evaluate: AQL %.4f, AQCR %.2f%%, R2 %s", report.aql, report.aqcr,
@@ -549,25 +545,44 @@ def cmd_ablate(run: Run):
                        [_result_row(variant, 0, market_cfg.index_x, report)])]
 
 
+def _result_rows(path, metrics):
+    """The (model, index, {metric: value}) of each row of a results CSV. A
+    row needs a model, an index and a finite aql; any other metric cell
+    may be empty (``_result_row`` leaves an undefined r2 so), else it must
+    be a finite number. Anything else is a data error that names
+    ``path:line``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or "model" not in reader.fieldnames:
+            raise DataError(f"{path}: not a results CSV")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            for key in ("model", "index", "aql"):
+                if not row.get(key):
+                    raise DataError(f"{where}: a result row needs {key}")
+            values = {}
+            for m in metrics:
+                if row.get(m):
+                    try:
+                        values[m] = float(row[m])
+                    except ValueError:
+                        values[m] = math.nan
+                    if not math.isfinite(values[m]):
+                        raise DataError(f"{where}: {m} = {row[m]!r} is not a finite number")
+            yield row["model"], row["index"], values
+
+
 def cmd_report(run: Run):
-    rows = []
-    for path in run.args.inputs:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "model" not in reader.fieldnames:
-                raise DataError(f"{path}: not a results CSV")
-            rows.extend(reader)
+    metrics = ["aql", "aqcr", "aiw", "rmse", "mae", "r2"]
+    rows = [row for path in run.args.inputs for row in _result_rows(path, metrics)]
     if not rows:
         raise DataError("report: no result rows found")
 
     grouped: dict[tuple, dict[str, list[float]]] = {}
-    metrics = ["aql", "aqcr", "aiw", "rmse", "mae", "r2"]
-    for row in rows:
-        key = (row["model"], row["index"])
-        bucket = grouped.setdefault(key, {m: [] for m in metrics})
-        for m in metrics:
-            if row.get(m):
-                bucket[m].append(float(row[m]))
+    for model, index, values in rows:
+        bucket = grouped.setdefault((model, index), {m: [] for m in metrics})
+        for m, value in values.items():
+            bucket[m].append(value)
 
     table = []
     for (model, index), bucket in sorted(grouped.items()):

@@ -7,7 +7,6 @@ forecasts shaped (n, n_quantiles) with columns ascending in the level.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -25,7 +24,6 @@ __all__ = [
     "pointwise",
     "dm_test",
     "evaluate_forecasts",
-    "write_metric_report",
     "write_plot_csv",
     "per_sample_aql",
 ]
@@ -187,12 +185,6 @@ def evaluate_forecasts(y: np.ndarray, forecasts: np.ndarray, quantiles) -> Metri
         quantiles=q,
         symmetric_pair_levels=pair_levels,
     )
-
-
-def write_metric_report(path, report: MetricReport) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def write_plot_csv(path, delivery_starts, y: np.ndarray, forecasts: np.ndarray, quantiles) -> None:

@@ -33,9 +33,10 @@ the weights and the encoded arrays to it. Everything around them stays
 float64: ``encode_samples``' arrays, checkpoints (a float32 value
 round-trips exactly through float64 text) and scored forecasts.
 
-Ablation switches cover: mask variants, removing fusion entirely (pooled
-raw sides feed the heads), aggregation without the residual sum or with
-concatenation, max pooling, and the multi / single head alternatives.
+Ablation switches cover: mask variants, zero interaction degrees (the
+projected sides are pooled with no cross-attention: the no-fusion arm),
+aggregation without the residual sum or with concatenation, max pooling,
+and the multi / single head alternatives.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ CHECKPOINT_MAGIC = "ORDERFUSION.v1"
 
 QUANTILES_DEFAULT = (0.10, 0.25, 0.45, 0.50, 0.55, 0.75, 0.90)
 
-FUSION_VARIANTS = ("fusion", "no_fusion")
 AGGREGATION_VARIANTS = ("residual", "no_residual", "concat")
 POOLING_VARIANTS = ("avg", "max")
 HEAD_VARIANTS = ("hierarchical", "multi", "single")
@@ -106,19 +106,17 @@ class ModelConfig:
     t_max: int = 32
     quantiles: tuple = QUANTILES_DEFAULT
     mask_variant: str = "dual"
-    fusion_variant: str = "fusion"
     aggregation_variant: str = "residual"
     pooling_variant: str = "avg"
     head_variant: str = "hierarchical"
     head_tau: float = 0.50
-    projection_bias: bool = True
     seed: int = 0
 
     def __post_init__(self):
         if self.hidden_dim <= 0:
             raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        if self.interaction_degree < 1:
-            raise ValueError("interaction_degree must be >= 1")
+        if self.interaction_degree < 0:
+            raise ValueError(f"interaction_degree must be >= 0, got {self.interaction_degree}")
         if self.cutoff_exponent < 0:
             raise ValueError("cutoff_exponent must be >= 0")
         if 2 ** self.cutoff_exponent > self.t_max:
@@ -134,7 +132,6 @@ class ModelConfig:
             raise ValueError("head_tau must lie in (0, 1)")
         for name, value, allowed in [
             ("mask_variant", self.mask_variant, MASK_VARIANTS),
-            ("fusion_variant", self.fusion_variant, FUSION_VARIANTS),
             ("aggregation_variant", self.aggregation_variant, AGGREGATION_VARIANTS),
             ("pooling_variant", self.pooling_variant, POOLING_VARIANTS),
             ("head_variant", self.head_variant, HEAD_VARIANTS),
@@ -151,8 +148,6 @@ class ModelConfig:
 
     @property
     def head_width(self) -> int:
-        if self.fusion_variant == "no_fusion":
-            return 6
         if self.aggregation_variant == "concat":
             return 2 * self.hidden_dim
         return self.hidden_dim
@@ -255,16 +250,14 @@ def init_params(config: ModelConfig) -> ModelParams:
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM]))
     params = ModelParams()
     dim = config.hidden_dim
-    if config.fusion_variant == "fusion":
+    for side in ("buy", "sell"):
+        params.add(f"proj.{side}.w", _glorot(rng, 3, dim))
+        params.add(f"proj.{side}.b", np.zeros((1, dim)))
+    for k in range(1, config.interaction_degree + 1):
         for side in ("buy", "sell"):
-            params.add(f"proj.{side}.w", _glorot(rng, 3, dim))
-            if config.projection_bias:
-                params.add(f"proj.{side}.b", np.zeros((1, dim)))
-        for k in range(1, config.interaction_degree + 1):
-            for side in ("buy", "sell"):
-                params.add(f"fuse{k}.{side}.wq", _glorot(rng, dim, dim))
-                params.add(f"fuse{k}.{side}.wk", _glorot(rng, dim, dim))
-                params.add(f"fuse{k}.{side}.wv", _glorot(rng, dim, dim))
+            params.add(f"fuse{k}.{side}.wq", _glorot(rng, dim, dim))
+            params.add(f"fuse{k}.{side}.wk", _glorot(rng, dim, dim))
+            params.add(f"fuse{k}.{side}.wv", _glorot(rng, dim, dim))
     width = config.head_width
     for tau in config.head_quantiles:
         params.add(f"{_head_name(tau)}.w", _glorot(rng, width, 1))
@@ -439,14 +432,10 @@ def aggregate_and_pool(
             combined = term if combined is None else combined + term
     else:
         raise ValueError(f"unknown aggregation variant {aggregation_variant!r}")
-    return _pool(combined, pooling_variant, lead)
-
-
-def _pool(rows: T.Tensor, pooling_variant: str, lead: int) -> T.Tensor:
     if pooling_variant == "avg":
-        return T.mean_rows(rows, lead)
+        return T.mean_rows(combined, lead)
     if pooling_variant == "max":
-        return T.max_rows(rows, lead)
+        return T.max_rows(combined, lead)
     raise ValueError(f"unknown pooling variant {pooling_variant!r}")
 
 
@@ -504,25 +493,24 @@ def predict_batch(
 ) -> T.Tensor:
     """Full forward pass over a batch of encoded arrays, in scaled space.
 
-    The leading rows that every sample masks out on both sides are trimmed
-    before any op and accounted for in closed form, and a trimmed mask of
-    all ones is not multiplied (see the module doc).
+    At ``interaction_degree`` 0 the projected sides are pooled as the one
+    pair. The leading rows that every sample masks out on both sides are
+    trimmed before any op and accounted for in closed form, and a trimmed
+    mask of all ones is not multiplied (see the module doc).
     """
     lead = _dead_lead(mask_buy, mask_sell)
     tb = T.constant(buy[:, lead:])
     ts = T.constant(sell[:, lead:])
     mb = _mask_node(mask_buy[:, lead:])
     ms = _mask_node(mask_sell[:, lead:])
-    if config.fusion_variant == "no_fusion":
-        pooled = _pool(T.concat_cols(_masked(tb, mb), _masked(ts, ms)), config.pooling_variant, lead)
-    else:
-        pairs = fusion_stack(
-            input_project(tb, params["proj.buy.w"].value,
-                          params["proj.buy.b"].value if "proj.buy.b" in params else None, mb),
-            input_project(ts, params["proj.sell.w"].value,
-                          params["proj.sell.b"].value if "proj.sell.b" in params else None, ms),
-            params, mb, ms, config.interaction_degree, lead)
-        pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant, lead)
+    project = lambda side, rows, mask: input_project(
+        rows, params[f"proj.{side}.w"].value, params[f"proj.{side}.b"].value, mask)
+    if config.interaction_degree == 0:
+        pairs = [(project("buy", tb, mb), project("sell", ts, ms))]
+    else:   # passed, not held, so that without a graph fusion_stack frees them
+        pairs = fusion_stack(project("buy", tb, mb), project("sell", ts, ms),
+                             params, mb, ms, config.interaction_degree, lead)
+    pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant, lead)
     return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
 
 
@@ -535,18 +523,16 @@ def row_bytes(config: ModelConfig) -> int:
     the dual mask, whose cutoff makes the rest dead leading rows that
     ``predict_batch`` trims, else ``t_max``. Each side's graph keeps about
     3 (t, H) arrays from the projection and, per degree, 4 (t, H) arrays
-    and the (t, t) attention weights; the no-fusion arm keeps the masked
-    (t, 3) rows and their concatenation. Backward holds as many again in
-    gradients, plus the (H, H) weight gradients that a batched matmul forms
-    for every row before summing them. Against tracemalloc's peak per row
-    this is 1.3-1.7x on the shapes ``tests/test_model.py`` measures.
+    and the (t, t) attention weights. Backward holds as many again in
+    gradients, plus, when there is a degree, the (H, H) weight gradients
+    that a batched matmul forms for every row before summing them. Against
+    tracemalloc's peak per row this is 1.3-1.7x on the shapes
+    ``tests/test_model.py`` measures.
     """
     t = 2 ** config.cutoff_exponent if config.mask_variant == "dual" else config.t_max
     h, k = config.hidden_dim, config.interaction_degree
-    if config.fusion_variant == "no_fusion":
-        graph, weight_grads = 4 * 3 * t, 0
-    else:
-        graph, weight_grads = 2 * (3 * t * h + k * (4 * t * h + t * t)), 3 * h * h
+    graph = 2 * (3 * t * h + k * (4 * t * h + t * t))
+    weight_grads = 3 * h * h if k else 0
     return (2 * 4 * config.t_max + 2 * graph + weight_grads) * np.dtype(COMPUTE_DTYPE).itemsize
 
 
@@ -631,6 +617,9 @@ def load_checkpoint(path):
     magic = payload.get("magic") if isinstance(payload, dict) else None
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint (magic {magic!r})")
+    extra = payload.get("extra", {})
+    if not isinstance(extra, dict):
+        raise ValueError(f"checkpoint extra is not an object: {extra!r}")
     config = ModelConfig.from_dict(payload["config"])
     params = init_params(config)
     params.load_arrays({
@@ -642,5 +631,5 @@ def load_checkpoint(path):
         params,
         RobustScaler.from_dict(payload["feature_scaler"]),
         RobustScaler.from_dict(payload["label_scaler"]),
-        payload.get("extra", {}),
+        extra,
     )

@@ -17,7 +17,7 @@ from orderfusion import cli
 from orderfusion.baselines import MLPConfig
 from orderfusion.cli import dispatch, read_kv_config
 from orderfusion.market import MarketConfig, build_dataset, parse_trades
-from orderfusion.model import ModelConfig
+from orderfusion.model import ModelConfig, init_params
 from orderfusion.synth import SynthConfig
 from orderfusion.training import TrainConfig
 
@@ -189,6 +189,33 @@ class TestBaselineAblateReport:
         assert {"naive1", "vwap15_lqr", "vwap15_mlp"} <= models
         assert all("+-" in r["aql_mean_std"] for r in rows)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("model,index,aql\nm,1,1.0\nm,1,abc\n", 3, "aql = 'abc' is not a finite number"),
+        ("model,index,aql\nm,1,nan\n", 2, "aql = 'nan' is not a finite number"),
+        ("model\nm\n", 2, "a result row needs index"),
+        ("model,index,aql\nm,,1.0\n", 2, "a result row needs index"),
+        ("model,index,aql,aqcr\nm,1,,0.5\n", 2, "a result row needs aql"),
+        ("model,index,aql,rmse\nm,1,1.0,1.0\nm,1,2.0,x\n", 3, "rmse = 'x' is not a finite number"),
+    ], ids=["aql_not_a_number", "aql_nan", "model_only", "no_index", "no_aql",
+            "rmse_not_a_number"])
+    def test_report_rejects_malformed_rows(self, tmp_path, caplog, text, line, message):
+        results = tmp_path / "results.csv"
+        results.write_text(text)
+        assert dispatch(["report", "--out", str(tmp_path / "o"), str(results)]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert not (tmp_path / "o" / "report.csv").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {results}:{line}: {message}"], errors
+
+    def test_report_reads_an_empty_r2(self, tmp_path):
+        results = tmp_path / "results.csv"
+        results.write_text("model,index,aql,r2\nm,1,1.0,\nm,1,3.0,0.5\n")
+        assert dispatch(["report", "--out", str(tmp_path / "o"), str(results)]) == 0
+        with open(tmp_path / "o" / "report.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert (row["n_rows"], row["aql_mean_std"], row["r2_mean_std"]) == ("2", "2.00 +- 1.41",
+                                                                              "0.50 +- 0.00")
+
 
 class TestCommandVariants:
     def test_gridsearch_budget(self, workspace):
@@ -358,8 +385,13 @@ class TestCheckpointMarket:
         assert payload["extra"]["market"] == {"index": 1, "delta_c_minutes": 30}
         payload["extra"]["market"] = {"index": 1, "delta_c_minutes": 0}
         (out / "at.json").write_text(json.dumps(payload))
+        for name, market in [("index_5", {"index": 5, "delta_c_minutes": 30}),
+                             ("no_index", {"delta_c_minutes": 30})]:
+            payload["extra"]["market"] = market
+            (out / f"{name}.json").write_text(json.dumps(payload))
         del payload["extra"]["market"]
         (out / "no_market.json").write_text(json.dumps(payload))
+        (out / "extra_list.json").write_text(json.dumps({**payload, "extra": [1]}))
         return out
 
     def evaluate(self, workspace, checkpoint, out, *flags):
@@ -385,6 +417,35 @@ class TestCheckpointMarket:
     def test_flags_contradicting_recorded_market(self, workspace, checkpoints, tmp_path, flags):
         assert self.evaluate(workspace, checkpoints / "checkpoint.json", tmp_path / "o", *flags) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("name", ["index_5", "no_index", "extra_list"])
+    def test_malformed_recorded_market_is_data_error(self, workspace, checkpoints, tmp_path,
+                                                     caplog, command, name):
+        # each once raised ValueError, KeyError or AttributeError: exit 1
+        checkpoint = checkpoints / f"{name}.json"
+        assert dispatch([command, "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and str(checkpoint) in errors[0], errors
+
+    @pytest.mark.parametrize("key, value", [("fusion_variant", "fusion"),
+                                            ("projection_bias", True)])
+    def test_checkpoint_with_a_retired_key_is_data_error(self, workspace, checkpoints, tmp_path,
+                                                         caplog, key, value):
+        # what a checkpoint from before the keys were retired holds
+        payload = json.loads((checkpoints / "checkpoint.json").read_text())
+        payload["config"][key] = value
+        checkpoint = tmp_path / "old.json"
+        checkpoint.write_text(json.dumps(payload))
+        assert dispatch(["predict", "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "unreadable checkpoint" in errors[0] and key in errors[0]
 
 
 class TestExitCodes:
@@ -467,7 +528,7 @@ class TestExitCodes:
         ("baseline", "epochs", "0"), ("baseline", "batch_size", "0"),
         ("baseline", "mlp_hidden_size", "0"), ("baseline", "mlp_dropout", "1.0"),
         ("baseline", "mlp_dropout", "-0.5"), ("baseline", "mlp_n_layers", "-1"),
-        ("train", "projection_bias", "ture"), ("synth", "start", "yesterday"),
+        ("train", "interaction_degree", "-1"), ("synth", "start", "yesterday"),
         ("train", "train_end", "soon"), ("train", "train_end", "2024-01-03T00:00:00Z"),
         ("baseline", "val_end", "2024-01-04T00:00:00Z"),
     ])
@@ -545,6 +606,15 @@ class TestExitCodes:
         assert dispatch(["predict", "--checkpoint", checkpoint, "--data", data,
                          "--out", str(tmp_path / "p")]) == 0
 
+    @pytest.mark.parametrize("variant", [v for v, o in cli.ABLATION_VARIANTS.items() if o is not None])
+    def test_ablation_override_builds_a_model(self, variant):
+        # every arm keeps the input projection; no_fusion differs from the
+        # model by its cross-attention alone
+        config = dataclasses.replace(ModelConfig(hidden_dim=4, cutoff_exponent=2, t_max=8),
+                                     **cli.ABLATION_VARIANTS[variant])
+        names = init_params(config).names
+        assert {"proj.buy.w", "proj.buy.b", "proj.sell.w", "proj.sell.b"} <= set(names)
+
     def test_unknown_ablation_variant(self, workspace, tmp_path):
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
@@ -554,8 +624,7 @@ class TestExitCodes:
 PARENT_KEYS = {
     # model
     "hidden_dim", "interaction_degree", "cutoff_exponent", "t_max", "mask_variant",
-    "fusion_variant", "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
-    "projection_bias",
+    "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
     # training
     "epochs", "batch_size", "lr0", "decay",
     # synthetic market
@@ -605,19 +674,15 @@ class TestConfigSchema:
         for cls, prefix in SECTIONS:
             assert cli._config(cls, cfg, prefix) == cls(), cls
 
-    @pytest.mark.parametrize("text, value", [
-        ("1", True), ("yes", True), ("True", True), ("0", False), ("no", False), ("FALSE", False),
-    ])
-    def test_bool_values(self, text, value):
-        assert cli._config(ModelConfig, {"projection_bias": text}).projection_bias is value
-
     def test_timestamp_value(self):
         config = cli._config(SynthConfig, {"start": "2024-03-01T00:00:00Z", "seed": "5"}, seed=2)
         assert config.start == datetime(2024, 3, 1, tzinfo=timezone.utc)
         assert config.seed == 2
 
-    @pytest.mark.parametrize("line", ["hiden_dim = 4", "sed = 5", "epochs = 3"],
-                             ids=["misspelt", "misspelt_seed", "repeated"])
+    @pytest.mark.parametrize("line", ["hiden_dim = 4", "sed = 5", "epochs = 3",
+                                      "fusion_variant = no_fusion", "projection_bias = 1"],
+                             ids=["misspelt", "misspelt_seed", "repeated",
+                                  "retired_fusion_variant", "retired_projection_bias"])
     def test_unknown_or_repeated_key_is_data_error(self, workspace, tmp_path, caplog, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(RUN_CONFIG + line + "\n")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orderfusion.cli import _write_json
 from orderfusion.evaluation import (
     aiw,
     aqcr,
@@ -15,7 +16,6 @@ from orderfusion.evaluation import (
     per_sample_aql,
     pointwise,
     symmetric_pairs,
-    write_metric_report,
     write_plot_csv,
 )
 from orderfusion.training import pinball
@@ -176,10 +176,10 @@ class TestReportAndFiles:
 
         y, forecasts = self._forecasts(n=5)
         report = evaluate_forecasts(y, forecasts, QUANTILES)
-        report_path = tmp_path / "report.json"
-        write_metric_report(report_path, report)
+        report_path = _write_json(tmp_path / "report.json", report.to_dict())
         payload = json.loads(report_path.read_text())
         assert payload["n_samples"] == 5
+        assert report_path.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
         deliveries = [datetime(2024, 1, 1, h, tzinfo=timezone.utc) for h in range(5)]
         plot_path = tmp_path / "plot.csv"

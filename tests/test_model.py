@@ -352,11 +352,11 @@ class TestForward:
         out = predict_batch(params, config, buy, sell, batch.mask_buy, batch.mask_sell)
         np.testing.assert_allclose(out.data, base.data, atol=1e-9)
 
-    def test_no_fusion_path(self):
+    def test_degree_zero_path(self):
         rng = np.random.default_rng(59)
-        config = small_config(fusion_variant="no_fusion")
+        config = small_config(interaction_degree=0)
         params = init_params(config)
-        assert params.n_scalars() == 7 * 7
+        assert params.n_scalars() == 24 + 8 + 7 * 5
         b = encode_samples([make_sample(rng, 3, 3)], config)
         out = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell).data[0]
         assert out.shape == (7,)
@@ -366,14 +366,13 @@ class TestForward:
 def _untrimmed(params, config, buy, sell, mask_buy, mask_sell):
     """The model composed from its blocks on the full arrays, lead 0."""
     tb, ts, mb, ms = (T.constant(a) for a in (buy, sell, mask_buy, mask_sell))
-    if config.fusion_variant == "no_fusion":
-        combined = T.concat_cols(tb * mb, ts * ms)
-        pooled = T.mean_rows(combined) if config.pooling_variant == "avg" else T.max_rows(combined)
+    proj_b = input_project(tb, params["proj.buy.w"].value, params["proj.buy.b"].value, mb)
+    proj_s = input_project(ts, params["proj.sell.w"].value, params["proj.sell.b"].value, ms)
+    if config.interaction_degree == 0:
+        pairs = [(proj_b, proj_s)]
     else:
-        proj_b = input_project(tb, params["proj.buy.w"].value, params["proj.buy.b"].value, mb)
-        proj_s = input_project(ts, params["proj.sell.w"].value, params["proj.sell.b"].value, ms)
         pairs = fusion_stack(proj_b, proj_s, params, mb, ms, config.interaction_degree, lead=0)
-        pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant)
+    pooled = aggregate_and_pool(pairs, config.aggregation_variant, config.pooling_variant)
     return hierarchical_head(pooled, params, config.head_variant, config.quantiles, config.head_tau)
 
 
@@ -387,8 +386,9 @@ def _outputs_and_grads(build, params, labels, quantiles):
 class TestDeadRowTrimming:
     """``predict_batch`` skips the leading rows every sample masks out."""
 
-    def _case(self, n_max=10, hidden_dim=5, **kw):
-        config = small_config(hidden_dim=hidden_dim, interaction_degree=2, cutoff_exponent=2, t_max=16, **kw)
+    def _case(self, n_max=10, hidden_dim=5, interaction_degree=2, **kw):
+        config = small_config(hidden_dim=hidden_dim, interaction_degree=interaction_degree,
+                              cutoff_exponent=2, t_max=16, **kw)
         rng = np.random.default_rng(71)
         samples = [make_sample(rng, int(rng.integers(1, n_max + 1)), int(rng.integers(1, n_max + 1)))
                    for _ in range(6)]
@@ -400,12 +400,12 @@ class TestDeadRowTrimming:
     @pytest.mark.parametrize("mask_variant", ["dual", "none", "random", "reverse"])
     @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
     @pytest.mark.parametrize("aggregation_variant", ["residual", "concat"])
-    @pytest.mark.parametrize("fusion_variant", ["fusion", "no_fusion"])
+    @pytest.mark.parametrize("interaction_degree", [0, 2])
     def test_matches_untrimmed_composition(self, mask_variant, pooling_variant,
-                                           aggregation_variant, fusion_variant):
+                                           aggregation_variant, interaction_degree):
         config, params, b = self._case(
             mask_variant=mask_variant, pooling_variant=pooling_variant,
-            aggregation_variant=aggregation_variant, fusion_variant=fusion_variant)
+            aggregation_variant=aggregation_variant, interaction_degree=interaction_degree)
         arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
         out, grads = _outputs_and_grads(lambda: predict_batch(params, config, *arrays),
                                         params, b.labels, config.quantiles)
@@ -459,6 +459,43 @@ class TestDeadRowTrimming:
         assert rows and max(rows) <= cutoff < config.t_max
 
 
+class TestDegreeZero:
+    """At interaction_degree 0, the no-fusion arm, the projected sides are
+    pooled as the one pair: the model without its cross-attention."""
+
+    @pytest.mark.parametrize("aggregation_variant", ["residual", "concat"])
+    @pytest.mark.parametrize("t_max, trimmed", [(16, True), (8, False)],
+                             ids=["trimmed", "untrimmed"])
+    def test_pools_the_projected_pair(self, t_max, trimmed, aggregation_variant):
+        config = small_config(hidden_dim=5, interaction_degree=0, cutoff_exponent=3, t_max=t_max,
+                              aggregation_variant=aggregation_variant)
+        rng = np.random.default_rng(107)
+        b = encode_samples([make_sample(rng, 8, 3), make_sample(rng, 2, 6)], config)
+        params = init_params(config)
+        for p in params:
+            p.value.data[...] = rng.normal(scale=0.8, size=p.value.data.shape)
+        arrays = (b.buy, b.sell, b.mask_buy, b.mask_sell)
+        assert (M._dead_lead(b.mask_buy, b.mask_sell) > 0) == trimmed
+
+        def composed():
+            tb, ts, mb, ms = (T.constant(a) for a in arrays)
+            pair = (input_project(tb, params["proj.buy.w"].value, params["proj.buy.b"].value, mb),
+                    input_project(ts, params["proj.sell.w"].value, params["proj.sell.b"].value, ms))
+            pooled = aggregate_and_pool([pair], config.aggregation_variant, config.pooling_variant)
+            return hierarchical_head(pooled, params, config.head_variant, config.quantiles)
+
+        out, grads = _outputs_and_grads(lambda: predict_batch(params, config, *arrays),
+                                        params, b.labels, config.quantiles)
+        ref, ref_grads = _outputs_and_grads(composed, params, b.labels, config.quantiles)
+        assert set(grads) == {"proj.buy.w", "proj.buy.b", "proj.sell.w", "proj.sell.b",
+                              *(f"head.q{round(100 * q):02d}.{k}" for q in config.quantiles
+                                for k in "wb")}
+        atol = 1e-12 if trimmed else 0.0       # trimmed, the pool's sum order differs
+        np.testing.assert_allclose(out, ref, atol=atol, rtol=0)
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, atol=atol, rtol=0, err_msg=name)
+
+
 def _nodes(monkeypatch, forward):
     """``forward()``'s result and every op node it created, with or without
     a graph."""
@@ -485,15 +522,16 @@ class TestIdentityMask:
     @pytest.mark.parametrize("mask_variant,cutoff_exponent", [("none", 2), ("dual", 3)])
     @pytest.mark.parametrize("pooling_variant", ["avg", "max"])
     @pytest.mark.parametrize("aggregation_variant", ["residual", "concat"])
-    @pytest.mark.parametrize("fusion_variant", ["fusion", "no_fusion"])
+    @pytest.mark.parametrize("interaction_degree", [0, 2])
     def test_all_ones_bitwise_equal_to_explicit_masks(self, mask_variant, cutoff_exponent,
                                                       pooling_variant, aggregation_variant,
-                                                      fusion_variant, monkeypatch):
+                                                      interaction_degree, monkeypatch):
         # every sample fills all t_max rows, so under "dual" with
         # 2**cutoff_exponent == t_max the masks are all ones as well
-        config = small_config(hidden_dim=5, interaction_degree=2, cutoff_exponent=cutoff_exponent,
-                              t_max=8, mask_variant=mask_variant, pooling_variant=pooling_variant,
-                              aggregation_variant=aggregation_variant, fusion_variant=fusion_variant)
+        config = small_config(hidden_dim=5, interaction_degree=interaction_degree,
+                              cutoff_exponent=cutoff_exponent, t_max=8, mask_variant=mask_variant,
+                              pooling_variant=pooling_variant,
+                              aggregation_variant=aggregation_variant)
         rng = np.random.default_rng(89)
         b = encode_samples([make_sample(rng, 8, 9), make_sample(rng, 12, 8)], config)
         assert (b.mask_buy == 1).all() and (b.mask_sell == 1).all()
@@ -506,7 +544,7 @@ class TestIdentityMask:
         assert out.tobytes() == ref.tobytes()
         for name, g in ref_grads.items():
             assert grads[name].tobytes() == g.tobytes(), name
-        skipped = 2 if fusion_variant == "no_fusion" else 2 + 2 * config.interaction_degree
+        skipped = 2 + 2 * interaction_degree     # the projections', then each degree's
         assert (_ops(monkeypatch, lambda: _untrimmed(params, config, *arrays))
                 - _ops(monkeypatch, lambda: predict_batch(params, config, *arrays))) == skipped
 
@@ -706,10 +744,13 @@ class TestRowBytes:
         finally:
             tracemalloc.stop()
 
-    # (hidden_dim, degree, cutoff_exponent, t_max): the two benchmark shapes
-    # and a cell of the default grid at its widest hidden_dim and degree
-    @pytest.mark.parametrize("shape", [(8, 1, 4, 32), (64, 2, 6, 128), (512, 4, 4, 32)],
-                             ids=["train_small", "train_wide", "grid_h512_k4"])
+    # (hidden_dim, degree, cutoff_exponent, t_max): the two benchmark shapes,
+    # a cell of the default grid at its widest hidden_dim and degree, and
+    # the no-fusion arm (degree 0) at the narrowest and widest hidden_dim
+    @pytest.mark.parametrize("shape", [(8, 1, 4, 32), (64, 2, 6, 128), (512, 4, 4, 32),
+                                       (8, 0, 4, 32), (512, 0, 4, 32)],
+                             ids=["train_small", "train_wide", "grid_h512_k4",
+                                  "degree0_h8", "degree0_h512"])
     def test_bounds_the_measured_peak(self, shape):
         hidden_dim, degree, alpha, t_max = shape
         config = ModelConfig(hidden_dim=hidden_dim, interaction_degree=degree,
@@ -726,20 +767,24 @@ class TestRowBytes:
 
 class TestParamCount:
     def test_hand_counted_example(self):
-        # 2 sides x (3 x 4) projections + 2 x 3 attention maps of 4 x 4 + 7 heads of 4 + 1
-        config = small_config(hidden_dim=4, interaction_degree=1, projection_bias=False)
-        assert init_params(config).n_scalars() == 155
+        # 2 sides x (3 x 4 + 4) projections + 2 x 3 attention maps of 4 x 4 + 7 heads of 4 + 1
+        config = small_config(hidden_dim=4, interaction_degree=1)
+        assert init_params(config).n_scalars() == 163
 
     def test_zero_hidden_dim_rejected(self):
         with pytest.raises(ValueError):
             small_config(hidden_dim=0)
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="interaction_degree"):
+            small_config(interaction_degree=-1)
+
     def test_doubling_dim_quadruples_attention_term(self):
-        base = small_config(hidden_dim=4, projection_bias=False)
-        doubled = small_config(hidden_dim=8, projection_bias=False)
+        base = small_config(hidden_dim=4)
+        doubled = small_config(hidden_dim=8)
 
         def attention_term(config):
-            return (init_params(config).n_scalars() - 2 * 3 * config.hidden_dim
+            return (init_params(config).n_scalars() - 2 * 4 * config.hidden_dim
                     - 7 * (config.hidden_dim + 1))
 
         assert attention_term(doubled) == 4 * attention_term(base)
@@ -750,14 +795,13 @@ class TestParamCount:
         "kw, expected",
         [
             ({}, 24 + 8 + 96 + 7 * 5),
-            ({"projection_bias": False}, 24 + 96 + 7 * 5),
             ({"interaction_degree": 2}, 24 + 8 + 2 * 96 + 7 * 5),
             ({"aggregation_variant": "concat"}, 24 + 8 + 96 + 7 * 9),
-            ({"fusion_variant": "no_fusion"}, 7 * 7),
+            ({"interaction_degree": 0}, 24 + 8 + 7 * 5),
             ({"head_variant": "single"}, 24 + 8 + 96 + 5),
             ({"head_variant": "multi", "hidden_dim": 16}, 96 + 32 + 6 * 256 + 7 * 17),
         ],
-        ids=[f"kw{i}" for i in range(7)],
+        ids=[f"kw{i}" for i in range(6)],
     )
     def test_matches_registered_scalars(self, kw, expected):
         assert init_params(small_config(**kw)).n_scalars() == expected
@@ -784,6 +828,17 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"magic": "SOMETHING.v9"}')
         with pytest.raises(ValueError, match="magic"):
+            load_checkpoint(path)
+
+    def test_rejects_extra_that_is_not_an_object(self, tmp_path):
+        config = small_config(seed=9)
+        feat = RobustScaler(np.array([0.0]), np.array([1.0]), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config), feat, feat, extra={"best_epoch": 1})
+        payload = json.loads(path.read_text())
+        payload["extra"] = [1, 2]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="extra"):
             load_checkpoint(path)
 
     def test_bytes_match_the_stream_encoder(self, tmp_path):

@@ -464,7 +464,7 @@ class TestBackwardContract:
     @pytest.mark.parametrize("variant", [
         {},
         {"head_variant": "multi", "aggregation_variant": "concat", "pooling_variant": "max"},
-        {"head_variant": "multi", "fusion_variant": "no_fusion"},
+        {"head_variant": "multi", "interaction_degree": 0},
         {"head_variant": "single", "aggregation_variant": "no_residual"},
     ])
     def test_no_node_holds_a_tensor(self, variant):
@@ -472,8 +472,8 @@ class TestBackwardContract:
         # only arrays, so an op output no backward formula reads can be
         # freed; masks that are not all ones keep the mask multiplies
         rng = np.random.default_rng(53)
-        config = ModelConfig(hidden_dim=4, interaction_degree=2, cutoff_exponent=2, t_max=8,
-                             **variant)
+        config = ModelConfig(**{"hidden_dim": 4, "interaction_degree": 2, "cutoff_exponent": 2,
+                                "t_max": 8, **variant})
         params = init_params(config)
         buy, sell = rng.normal(size=(2, 5, 8, 3))
         mask_buy, mask_sell = rng.uniform(0.5, 1.5, size=(2, 5, 8, 1))
