@@ -117,7 +117,17 @@ CONFIG_KEYS = frozenset({
 })
 
 
-def read_kv_config(path) -> dict[str, str]:
+class ConfigValueError(DataError):
+    """A config value rejected; ``keys`` are the config keys whose values
+    took part, which ``dispatch`` cites by ``path:line``."""
+
+    def __init__(self, keys, message):
+        super().__init__(message)
+        self.keys = list(keys)
+
+
+def read_kv_config(path) -> tuple[dict[str, str], dict[str, str]]:
+    """The values of a config file by key, and the ``path:line`` of each."""
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -126,6 +136,7 @@ def read_kv_config(path) -> dict[str, str]:
         lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
         raise DataError(f"{path}:{lineno}: not valid UTF-8") from exc
     out: dict[str, str] = {}
+    where: dict[str, str] = {}
     with io.StringIO(text, newline=None) as fh:     # universal newlines, as open() reads
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -139,7 +150,8 @@ def read_kv_config(path) -> dict[str, str]:
             if key in out:
                 raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
             out[key] = value
-    return out
+            where[key] = f"{path}:{lineno}"
+    return out, where
 
 
 def _get(cfg: dict, key: str, cast, default=None):
@@ -150,21 +162,39 @@ def _get(cfg: dict, key: str, cast, default=None):
     try:
         return cast(cfg[key])
     except ValueError as exc:
-        raise DataError(f"config key {key}={cfg[key]!r}: {exc}") from exc
+        raise ConfigValueError([key], f"config key {key}={cfg[key]!r}: {exc}") from exc
+
+
+def _checked(build, given: dict, read: dict, prefix: str = ""):
+    """``build(**given, **read)``, where ``read`` holds the values of config
+    keys, each under the name of the argument it sets (the key without
+    ``prefix``). A ValueError from ``build`` is a data error that cites the
+    keys it is down to: those ``build`` rejects alone, else those without
+    which it passes, else all of them."""
+    def rejects(names):
+        try:
+            build(**given, **{n: read[n] for n in names})
+        except ValueError:
+            return True
+        return False
+
+    try:
+        return build(**given, **read)
+    except ValueError as exc:
+        names = ([n for n in read if rejects([n])]
+                 or [n for n in read if not rejects([m for m in read if m != n])] or list(read))
+        raise ConfigValueError([prefix + n for n in names],
+                               f"bad config value: {prefix}{exc}") from exc
 
 
 def _config(cls, cfg: dict, prefix: str = "", **given):
     """``cls`` built from the config keys ``prefix`` + field name, each cast
     by its field's annotation, and from ``given``, which wins; a field with
     neither keeps the dataclass default. A value ``cls`` rejects is a data
-    error, with the message that names its field."""
-    for f in fields(cls):
-        if f.name not in given and prefix + f.name in cfg and f.type in _CASTS:
-            given[f.name] = _get(cfg, prefix + f.name, _CASTS[f.type])
-    try:
-        return cls(**given)
-    except ValueError as exc:
-        raise DataError(f"bad config value: {prefix}{exc}") from exc
+    error that cites its key, as ``_checked`` says."""
+    read = {f.name: _get(cfg, prefix + f.name, _CASTS[f.type]) for f in fields(cls)
+            if f.name not in given and prefix + f.name in cfg and f.type in _CASTS}
+    return _checked(cls, given, read, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +205,10 @@ def _config(cls, cfg: dict, prefix: str = "", **given):
 @dataclass
 class Run:
     """What ``dispatch`` resolves once for every command: the parsed flags,
-    the ``--config`` keys (empty without one), the seed (``--seed``, else
-    the config's ``seed``, else 0) and the output directory, already made."""
+    the ``--config`` keys (empty for a command without one), the seed
+    (``--seed``, else the config's ``seed``, else 0; ``predict`` and
+    ``evaluate`` set the checkpoint's) and the output directory, already
+    made."""
 
     args: argparse.Namespace
     cfg: dict
@@ -249,13 +281,17 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 
 
-def _market_config(args, cfg: dict) -> MarketConfig:
-    market = args.market or cfg.get("market", "DE")
-    index = args.index or _get(cfg, "index", int, 1)
-    try:
-        return MarketConfig.for_market(market, index)
-    except ValueError as exc:
-        raise DataError(f"bad config value: {exc}") from exc
+def _market(market: str = "DE", index: int = 1) -> MarketConfig:
+    return MarketConfig.for_market(market, index)
+
+
+def _market_config(cfg: dict, market: str | None, index: int | None) -> MarketConfig:
+    """The market of the flags ``market`` and ``index``, each else its
+    config key, else DE and index 1."""
+    given = {k: v for k, v in (("market", market), ("index", index)) if v is not None}
+    read = {k: _get(cfg, k, cast) for k, cast in (("market", str), ("index", int))
+            if k in cfg and k not in given}
+    return _checked(_market, given, read)
 
 
 def _load_samples(data_path, market_cfg: MarketConfig):
@@ -268,6 +304,13 @@ def _load_samples(data_path, market_cfg: MarketConfig):
     return trades, samples, report
 
 
+def _fractions(train_frac: float = 0.70, val_frac: float = 0.15):
+    if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0 and train_frac + val_frac < 1.0):
+        raise ValueError(f"train_frac = {train_frac} and val_frac = {val_frac}: "
+                         "each must lie in (0, 1), and their sum below 1")
+    return train_frac, val_frac
+
+
 def _split_samples(samples, cfg: dict):
     """Chronological train/val/test split of ``build_dataset``'s samples
     (one per delivery, in delivery order) at two delivery boundaries: the
@@ -275,17 +318,16 @@ def _split_samples(samples, cfg: dict):
     deliveries that start the validation and test fractions."""
     from .training import FoldSpec
 
+    keys = [k for k in ("train_end", "val_end") if k in cfg]
     train_end = _get(cfg, "train_end", parse_timestamp)
     val_end = _get(cfg, "val_end", parse_timestamp)
-    if (train_end is None) != (val_end is None):
-        raise DataError("config keys train_end and val_end go together: give both or neither")
+    if len(keys) == 1:
+        raise ConfigValueError(keys, "config keys train_end and val_end go together: "
+                                     "give both or neither")
     first, last = (t.replace(tzinfo=timezone.utc) for t in (datetime.min, datetime.max))
     if train_end is None:
-        train_frac = _get(cfg, "train_frac", float, 0.70)
-        val_frac = _get(cfg, "val_frac", float, 0.15)
-        if not (0.0 < train_frac < 1.0 and 0.0 < val_frac < 1.0 and train_frac + val_frac < 1.0):
-            raise DataError(f"config keys train_frac = {train_frac} and val_frac = {val_frac}: "
-                            "each must lie in (0, 1), and their sum below 1")
+        keys = [k for k in ("train_frac", "val_frac") if k in cfg]
+        train_frac, val_frac = _checked(_fractions, {}, {k: _get(cfg, k, float) for k in keys})
         n = len(samples)
         cut = lambda k: samples[k].delivery_start if k < n else last
         train_end, val_end = cut(int(n * train_frac)), cut(int(n * (train_frac + val_frac)))
@@ -293,15 +335,15 @@ def _split_samples(samples, cfg: dict):
                     test_range=(val_end, last))
     train, val, test = fold.split(samples)
     if not train or not val or not test:
-        raise DataError(
-            f"degenerate split: {len(train)} train / {len(val)} val / {len(test)} test samples")
+        raise ConfigValueError(
+            keys, f"degenerate split: {len(train)} train / {len(val)} val / {len(test)} test samples")
     return train, val, test
 
 
 def _prepare_training(run: Run):
     """The market, the scaled training and validation splits, the raw test
     split and the scalers fitted on the training split."""
-    market_cfg = _market_config(run.args, run.cfg)
+    market_cfg = _market_config(run.cfg, run.args.market, run.args.index)
     _, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, run.cfg)
     feature_scaler, label_scaler = fit_scaler(train_raw)
@@ -330,14 +372,14 @@ def cmd_synth(run: Run):
     from .synth import SynthConfig, write_market
 
     synth_cfg = _config(SynthConfig, run.cfg, seed=run.seed)
-    delta_c = _market_config(run.args, run.cfg).delta_c_minutes
+    delta_c = _market_config(run.cfg, run.args.market, 1).delta_c_minutes
     trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
     return [trades_path, labels_path]
 
 
 def cmd_ingest(run: Run):
-    market_cfg = _market_config(run.args, run.cfg)
+    market_cfg = _market_config(run.cfg, run.args.market, run.args.index)
     _, _, report = _load_samples(run.args.data, market_cfg)
     payload = report.to_dict()
     payload["market_delta_c_minutes"] = market_cfg.delta_c_minutes
@@ -355,10 +397,8 @@ def cmd_train(run: Run):
 
     result = train(model_config, train_s, val_s, train_cfg)
     ckpt_path = run.out / "checkpoint.json"
-    save_checkpoint(ckpt_path, model_config, result.params, feat, lab,
-                    extra={"best_epoch": result.best_epoch,
-                           "market": {"index": market_cfg.index_x,
-                                      "delta_c_minutes": market_cfg.delta_c_minutes}})
+    save_checkpoint(ckpt_path, model_config, result.params, feat, lab, market_cfg,
+                    result.best_epoch)
     log_path = _write_csv(run.out / "training_log.csv", ["epoch", "train_aql", "val_aql", "lr"],
                           [[h.epoch, repr(h.train_aql), repr(h.val_aql), repr(h.lr)]
                            for h in result.history])
@@ -373,6 +413,8 @@ def cmd_gridsearch(run: Run):
     cfg = run.cfg
     if run.args.budget is not None and run.args.budget < 1:
         raise UsageError(f"--budget must be >= 1, got {run.args.budget}")
+    if run.args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {run.args.jobs}")
     base_config = _config(ModelConfig, cfg, seed=run.seed)
     train_cfg = _config(TrainConfig, cfg, seed=run.seed)
     max_alpha = int(math.log2(base_config.t_max))
@@ -380,16 +422,22 @@ def cmd_gridsearch(run: Run):
     def values(field, default):
         """The ``grid_<field>`` candidates, each one checked as that model
         config field; cutoff exponents above log2(t_max) are dropped."""
+        key = f"grid_{field}"
+
         def parse(raw):
             out = [int(v) for v in raw.replace(",", " ").split()]
-            if field == "cutoff_exponent":
-                out = [a for a in out if a <= max_alpha]
             if not out:
                 raise ValueError("no candidate value")
+            if field == "cutoff_exponent":
+                out = [a for a in out if a <= max_alpha]
+                if not out:
+                    raise ConfigValueError([k for k in (key, "t_max") if k in cfg],
+                                           f"config key {key}={raw!r}: no candidate at or below "
+                                           f"log2(t_max) = {max_alpha}")
             for v in out:
                 replace(base_config, **{field: v})
             return out
-        return _get(cfg, f"grid_{field}", parse, default)
+        return _get(cfg, key, parse, default)
 
     space = {
         "hidden_dim": values("hidden_dim", [4, 16, 64, 256, 512]),
@@ -408,31 +456,6 @@ def cmd_gridsearch(run: Run):
                          for fold, cell in best.items()})]
 
 
-def _checkpoint_market(run: Run, recorded: dict | None) -> MarketConfig:
-    """The market a checkpoint was trained on, as ``train`` records it. A
-    checkpoint that records none, or a malformed one, or flags that
-    contradict it, are a data error."""
-    args = run.args
-    if recorded is None:
-        raise DataError(f"{args.checkpoint}: records no market (extra.market)")
-    for key in ("index", "delta_c_minutes"):
-        value = recorded.get(key) if isinstance(recorded, dict) else None
-        if type(value) is not int:
-            raise DataError(f"{args.checkpoint}: extra.market.{key} is {value!r}, not an integer")
-    try:
-        market_cfg = MarketConfig(index_x=recorded["index"],
-                                  delta_c_minutes=recorded["delta_c_minutes"])
-    except ValueError as exc:
-        raise DataError(f"{args.checkpoint}: bad extra.market: {exc}") from exc
-    if ((args.market and MarketConfig.for_market(args.market, 1).delta_c_minutes
-         != market_cfg.delta_c_minutes)
-            or (args.index and args.index != market_cfg.index_x)):
-        raise DataError(
-            f"--market/--index contradict {args.checkpoint}, trained on index "
-            f"{market_cfg.index_x} with a {market_cfg.delta_c_minutes}-minute gate closure offset")
-    return market_cfg
-
-
 def _read_checkpoint(run: Run):
     """``load_checkpoint`` of ``--checkpoint``; unreadable is a data error.
     The manifest records the checkpoint's seed, the one the forecasts come
@@ -448,11 +471,12 @@ def _read_checkpoint(run: Run):
 
 
 def _score_checkpoint(run: Run, checkpoint):
-    """Forecast every delivery in ``--data`` with a read checkpoint."""
+    """Forecast every delivery in ``--data`` with a read checkpoint, on the
+    market it records."""
     from .model import encode_samples
 
-    config, params, feat, lab, extra = checkpoint
-    _, samples, _ = _load_samples(run.args.data, _checkpoint_market(run, extra.get("market")))
+    config, params, feat, lab, market_cfg = checkpoint
+    _, samples, _ = _load_samples(run.args.data, market_cfg)
     batch = encode_samples([apply_scaler(s, feat, lab) for s in samples], config)
     y_true = np.array([s.label for s in samples])
     return config, batch, y_true, _predictions_eur(params, config, batch, lab)
@@ -488,7 +512,7 @@ def cmd_baseline(run: Run):
     if variant not in NAIVE_BASELINES and variant not in FEATURE_BASELINES:
         raise UsageError(f"unknown baseline variant {variant!r}; known: "
                          + " ".join([*NAIVE_BASELINES, *FEATURE_BASELINES]))
-    market_cfg = _market_config(run.args, cfg)
+    market_cfg = _market_config(cfg, run.args.market, run.args.index)
     if variant in FEATURE_BASELINES:    # config errors before the parse
         mlp_cfg = _config(MLPConfig, cfg, "mlp_")
         train_cfg = _config(TrainConfig, cfg, seed=run.seed)
@@ -611,37 +635,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="orderfusion",
                      description="Intraday price-index forecasting from buy/sell trade sequences")
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "config": dict(default=None, help="key = value configuration file"),
+        "seed": dict(type=int, default=None),
+        "market": dict(choices=["DE", "AT"], default=None),
+        "index": dict(type=int, choices=[1, 2, 3], default=None),
+        "data": dict(required=True, help="trade CSV"),
+        "checkpoint": dict(required=True),
+    }
 
-    def common(p, data=False, checkpoint=False):
-        p.add_argument("--config", default=None, help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--market", choices=["DE", "AT"], default=None)
-        p.add_argument("--index", type=int, choices=[1, 2, 3], default=None)
-        if data:
-            p.add_argument("--data", required=True, help="trade CSV")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True)
+    def command(name, help, *names):
+        """The subparser of ``name``, with the flags ``names`` and ``--out``."""
+        p = sub.add_parser(name, help=help)
+        for flag in names:
+            p.add_argument(f"--{flag}", **flags[flag])
         p.add_argument("--out", required=True, help="output directory")
+        return p
 
-    common(sub.add_parser("synth", help="generate a synthetic market"))
-    common(sub.add_parser("ingest", help="parse trades and report sample counts"), data=True)
-    common(sub.add_parser("train", help="train a model"), data=True)
-    p = sub.add_parser("gridsearch", help="exhaustive hyperparameter search")
-    common(p, data=True)
+    run_flags = ("config", "seed", "market", "index", "data")
+    command("synth", "generate a synthetic market", "config", "seed", "market")
+    command("ingest", "parse trades and report sample counts", "config", "market", "index", "data")
+    command("train", "train a model", *run_flags)
+    p = command("gridsearch", "exhaustive hyperparameter search", *run_flags)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int, default=None)
-    common(sub.add_parser("predict", help="forecast with a checkpoint"), data=True, checkpoint=True)
-    common(sub.add_parser("evaluate", help="metrics for a checkpoint on a test CSV"),
-           data=True, checkpoint=True)
-    p = sub.add_parser("baseline", help="naive and feature baselines")
-    common(p, data=True)
+    command("predict", "forecast with a checkpoint", "checkpoint", "data")
+    command("evaluate", "metrics for a checkpoint on a test CSV", "checkpoint", "data")
+    p = command("baseline", "naive and feature baselines", *run_flags)
     p.add_argument("--variant", default="naive1")
-    p = sub.add_parser("ablate", help="train and evaluate an ablation variant")
-    common(p, data=True)
+    p = command("ablate", "train and evaluate an ablation variant", *run_flags)
     p.add_argument("--variant", required=True)
-    p = sub.add_parser("report", help="aggregate result CSVs into mean +- std rows")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
+    p = command("report", "aggregate result CSVs into mean +- std rows")
     p.add_argument("inputs", nargs="+", help="result CSV files")
     return parser
 
@@ -660,6 +684,7 @@ _COMMANDS = {
 
 
 def dispatch(argv) -> int:
+    where: dict[str, str] = {}      # config key -> path:line
     try:
         level = os.environ.get("ORDERFUSION_LOG", "info")
         if level.lower() not in LOG_LEVELS:
@@ -669,8 +694,8 @@ def dispatch(argv) -> int:
         args = build_parser().parse_args(argv)
         started = time.time()
         given = vars(args)
-        cfg = read_kv_config(given["config"]) if given.get("config") else {}
-        seed = args.seed if args.seed is not None else _get(cfg, "seed", int, 0)
+        cfg, where = read_kv_config(given["config"]) if given.get("config") else ({}, {})
+        seed = given["seed"] if given.get("seed") is not None else _get(cfg, "seed", int, 0)
         run = Run(args=args, cfg=cfg, seed=seed, out=Path(args.out))
         run.out.mkdir(parents=True, exist_ok=True)
         outputs = _COMMANDS[args.command](run)
@@ -681,6 +706,10 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1
+    except ConfigValueError as exc:
+        cited = ", ".join(where[k] for k in where if k in exc.keys)     # in file order
+        log.error("data error: %s%s", f"{cited}: " if cited else "", exc)
+        return 2
     except (DataError, ParseError, NoLabelError, FileNotFoundError) as exc:
         log.error("data error: %s", exc)
         return 2

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .market import RobustScaler, Sample
+from .market import MarketConfig, RobustScaler, Sample
 from .masking import MASK_VARIANTS, build_dual_mask, pad_side
 
 __all__ = [
@@ -121,7 +121,8 @@ class ModelConfig:
             raise ValueError("cutoff_exponent must be >= 0")
         if 2 ** self.cutoff_exponent > self.t_max:
             raise ValueError(
-                f"cutoff 2^{self.cutoff_exponent} exceeds t_max {self.t_max}"
+                f"cutoff_exponent {self.cutoff_exponent}: 2^{self.cutoff_exponent} exceeds "
+                f"t_max {self.t_max}"
             )
         q = tuple(self.quantiles)
         if any(b <= a for a, b in zip(q, q[1:])):
@@ -587,13 +588,18 @@ def save_checkpoint(
     params: ModelParams,
     feature_scaler: RobustScaler,
     label_scaler: RobustScaler,
-    extra: dict | None = None,
+    market: MarketConfig,
+    best_epoch: int,
 ) -> None:
-    """Write a self-describing JSON checkpoint; floats round-trip exactly."""
+    """Write a self-describing JSON checkpoint: the config (the seed among
+    its fields), the market trained on (``index`` and ``delta_c_minutes``),
+    the best epoch, the scalers and every named weight array. Floats
+    round-trip exactly."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
-        "seed": config.seed,
         "config": config.to_dict(),
+        "market": {"index": market.index_x, "delta_c_minutes": market.delta_c_minutes},
+        "best_epoch": best_epoch,
         "feature_scaler": feature_scaler.to_dict(),
         "label_scaler": label_scaler.to_dict(),
         "params": {
@@ -601,8 +607,6 @@ def save_checkpoint(
             for name, arr in params.state_arrays().items()
         },
     }
-    if extra:
-        payload["extra"] = extra
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, sort_keys=True))   # json.dump never uses the C encoder
         fh.write("\n")
@@ -610,16 +614,21 @@ def save_checkpoint(
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (config, params, feature_scaler,
-    label_scaler, extra), ``extra`` being the mapping given to
-    :func:`save_checkpoint` (empty when none was)."""
+    label_scaler, market), ``market`` the :class:`MarketConfig` it was
+    trained on. A missing or malformed market is a ValueError: one that is
+    not an object, a field that is not an int, or values ``MarketConfig``
+    rejects."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     magic = payload.get("magic") if isinstance(payload, dict) else None
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"not a model checkpoint (magic {magic!r})")
-    extra = payload.get("extra", {})
-    if not isinstance(extra, dict):
-        raise ValueError(f"checkpoint extra is not an object: {extra!r}")
+    market = payload.get("market")
+    if not isinstance(market, dict) or any(type(market.get(k)) is not int
+                                           for k in ("index", "delta_c_minutes")):
+        raise ValueError(f"market is {market!r}, not an object of the integers index and "
+                         "delta_c_minutes")
+    market = MarketConfig(index_x=market["index"], delta_c_minutes=market["delta_c_minutes"])
     config = ModelConfig.from_dict(payload["config"])
     params = init_params(config)
     params.load_arrays({
@@ -631,5 +640,5 @@ def load_checkpoint(path):
         params,
         RobustScaler.from_dict(payload["feature_scaler"]),
         RobustScaler.from_dict(payload["label_scaler"]),
-        extra,
+        market,
     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -64,7 +65,8 @@ def workspace(tmp_path_factory):
 def test_kv_config_parsing(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("seed = 1\n# comment\nmarket = AT  # trailing\n\n")
-    assert read_kv_config(path) == {"seed": "1", "market": "AT"}
+    assert read_kv_config(path) == ({"seed": "1", "market": "AT"},
+                                    {"seed": f"{path}:1", "market": f"{path}:3"})
 
 
 class TestSynthIngest:
@@ -311,7 +313,9 @@ class TestManifest:
     @pytest.fixture(scope="class")
     def runs(self, workspace):
         """Every command once, with --config wherever it is accepted; maps
-        each command to its output directory and the files it was given."""
+        each command to its output directory and the files it was given.
+        ``predict`` and ``evaluate`` take no --config: they read their run
+        from the checkpoint."""
         cfg = str(workspace / "run.cfg")
         data = str(workspace / "data" / "trades.csv")
         root = workspace / "manifests"
@@ -321,8 +325,8 @@ class TestManifest:
             "ingest": ["--config", cfg, "--data", data],
             "train": ["--config", cfg, "--data", data],
             "gridsearch": ["--config", cfg, "--data", data, "--budget", "1"],
-            "predict": ["--config", cfg, "--data", data, "--checkpoint", ckpt],
-            "evaluate": ["--config", cfg, "--data", data, "--checkpoint", ckpt],
+            "predict": ["--data", data, "--checkpoint", ckpt],
+            "evaluate": ["--data", data, "--checkpoint", ckpt],
             "baseline": ["--config", cfg, "--data", data, "--variant", "naive1"],
             "ablate": ["--config", cfg, "--data", data, "--variant", "dual_mask"],
             "report": [str(root / "ablate" / "ablation_results.csv")],
@@ -362,42 +366,50 @@ class TestManifest:
             assert env["python"] == sys.version and env["numpy"] == np.__version__
             assert all(k.endswith("_NUM_THREADS") for k in env["num_threads"])
 
-    def test_scoring_records_checkpoint_seed(self, workspace, runs, tmp_path):
-        checkpoint = runs["train"][0] / "checkpoint.json"
-        assert dispatch(["evaluate", "--seed", "99", "--checkpoint", str(checkpoint),
-                         "--data", str(workspace / "data" / "trades.csv"),
-                         "--out", str(tmp_path)]) == 0
-        seed = json.loads(checkpoint.read_text())["seed"]
-        for out in (runs["evaluate"][0], tmp_path):
-            assert json.loads((out / "manifest.json").read_text())["seed"] == seed
+    def test_scoring_records_checkpoint_seed(self, workspace, tmp_path):
+        cfg, data = tmp_path / "seed5.cfg", str(workspace / "data" / "trades.csv")
+        cfg.write_text(with_keys(RUN_CONFIG, seed=5))
+        assert dispatch(["train", "--config", str(cfg), "--data", data,
+                         "--out", str(tmp_path / "m")]) == 0
+        checkpoint = tmp_path / "m" / "checkpoint.json"
+        assert json.loads(checkpoint.read_text())["config"]["seed"] == 5
+        for command in ("evaluate", "predict"):
+            out = tmp_path / command
+            assert dispatch([command, "--checkpoint", str(checkpoint), "--data", data,
+                             "--out", str(out)]) == 0
+            assert json.loads((out / "manifest.json").read_text())["seed"] == 5
 
 
 class TestCheckpointMarket:
     @pytest.fixture(scope="class")
     def checkpoints(self, workspace):
-        """One DE-trained checkpoint saved three ways: as trained, with the
-        market rewritten to AT (gate closure offset 0), and without market."""
+        """One DE-trained checkpoint saved as trained, with its market
+        rewritten to AT (gate closure offset 0) or to malformed values,
+        without a market, and in the earlier format, which kept the market
+        and best epoch under ``extra`` and repeated the seed at top level."""
         out = workspace / "market_model"
         assert dispatch(["train", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--out", str(out)]) == 0
         payload = json.loads((out / "checkpoint.json").read_text())
-        assert payload["extra"]["market"] == {"index": 1, "delta_c_minutes": 30}
-        payload["extra"]["market"] = {"index": 1, "delta_c_minutes": 0}
-        (out / "at.json").write_text(json.dumps(payload))
-        for name, market in [("index_5", {"index": 5, "delta_c_minutes": 30}),
-                             ("no_index", {"delta_c_minutes": 30})]:
-            payload["extra"]["market"] = market
-            (out / f"{name}.json").write_text(json.dumps(payload))
-        del payload["extra"]["market"]
-        (out / "no_market.json").write_text(json.dumps(payload))
-        (out / "extra_list.json").write_text(json.dumps({**payload, "extra": [1]}))
+        assert payload["market"] == {"index": 1, "delta_c_minutes": 30}
+        for name, market in [("at", {"index": 1, "delta_c_minutes": 0}),
+                             ("index_5", {"index": 5, "delta_c_minutes": 30}),
+                             ("index_true", {"index": True, "delta_c_minutes": 30}),
+                             ("index_str", {"index": "1", "delta_c_minutes": 30}),
+                             ("no_index", {"delta_c_minutes": 30}),
+                             ("market_list", [1, 30])]:
+            (out / f"{name}.json").write_text(json.dumps({**payload, "market": market}))
+        bare = {k: v for k, v in payload.items() if k not in ("market", "best_epoch")}
+        (out / "no_market.json").write_text(json.dumps(bare))
+        (out / "extra.json").write_text(json.dumps(
+            {**bare, "seed": payload["config"]["seed"],
+             "extra": {"best_epoch": payload["best_epoch"], "market": payload["market"]}}))
         return out
 
-    def evaluate(self, workspace, checkpoint, out, *flags):
+    def evaluate(self, workspace, checkpoint, out):
         return dispatch(["evaluate", "--checkpoint", str(checkpoint),
-                         "--data", str(workspace / "data" / "trades.csv"),
-                         "--out", str(out), *flags])
+                         "--data", str(workspace / "data" / "trades.csv"), "--out", str(out)])
 
     def test_recorded_market_is_scored(self, workspace, checkpoints, tmp_path):
         assert self.evaluate(workspace, checkpoints / "at.json", tmp_path / "at") == 0
@@ -405,24 +417,17 @@ class TestCheckpointMarket:
         assert ((tmp_path / "at" / "predictions.csv").read_bytes()
                 != (tmp_path / "de" / "predictions.csv").read_bytes())
 
-    @pytest.mark.parametrize("flags", [[], ["--market", "AT"]])
-    def test_no_market_is_data_error(self, workspace, checkpoints, tmp_path, caplog, flags):
-        assert self.evaluate(workspace, checkpoints / "no_market.json", tmp_path / "o",
-                             *flags) == 2
+    def test_no_market_is_data_error(self, workspace, checkpoints, tmp_path, caplog):
+        assert self.evaluate(workspace, checkpoints / "no_market.json", tmp_path / "o") == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert len(errors) == 1 and "records no market" in errors[0], errors
-
-    @pytest.mark.parametrize("flags", [["--market", "AT"], ["--index", "2"]])
-    def test_flags_contradicting_recorded_market(self, workspace, checkpoints, tmp_path, flags):
-        assert self.evaluate(workspace, checkpoints / "checkpoint.json", tmp_path / "o", *flags) == 2
-        assert not (tmp_path / "o" / "manifest.json").exists()
+        assert len(errors) == 1 and "market is None" in errors[0], errors
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
-    @pytest.mark.parametrize("name", ["index_5", "no_index", "extra_list"])
+    @pytest.mark.parametrize("name", ["extra", "no_market", "index_5", "index_true", "index_str",
+                                      "no_index", "market_list"])
     def test_malformed_recorded_market_is_data_error(self, workspace, checkpoints, tmp_path,
                                                      caplog, command, name):
-        # each once raised ValueError, KeyError or AttributeError: exit 1
         checkpoint = checkpoints / f"{name}.json"
         assert dispatch([command, "--checkpoint", str(checkpoint),
                          "--data", str(workspace / "data" / "trades.csv"),
@@ -430,6 +435,7 @@ class TestCheckpointMarket:
         assert not (tmp_path / "o" / "manifest.json").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and str(checkpoint) in errors[0], errors
+        assert "unreadable checkpoint" in errors[0]
 
     @pytest.mark.parametrize("key, value", [("fusion_variant", "fusion"),
                                             ("projection_bias", True)])
@@ -531,6 +537,7 @@ class TestExitCodes:
         ("train", "interaction_degree", "-1"), ("synth", "start", "yesterday"),
         ("train", "train_end", "soon"), ("train", "train_end", "2024-01-03T00:00:00Z"),
         ("baseline", "val_end", "2024-01-04T00:00:00Z"),
+        ("train", "hidden_dim", "abc"), ("train", "cutoff_exponent", "5"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -543,22 +550,30 @@ class TestExitCodes:
         assert dispatch(argv) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert any(key in message for message in errors), errors
+        # RUN_CONFIG's t_max = 16 takes part: it admits cutoff exponents up to 4
+        cited = [key] + (["t_max"] if key in ("cutoff_exponent", "grid_cutoff_exponent") else [])
+        assert len(errors) == 1 and key in errors[0], errors
+        assert errors[0].startswith(f"data error: {config_lines(cfg, cited)}: "), errors
 
     @pytest.mark.parametrize("command", ["train", "baseline"])
-    @pytest.mark.parametrize("train_frac, val_frac", [
-        (-0.3, 1.2), (0.0, 0.5), (0.7, 0.3), (0.9, 0.2), (1.0, 0.1), (0.5, "nan"),
+    @pytest.mark.parametrize("train_frac, val_frac, cited", [
+        (-0.3, 1.2, ["train_frac", "val_frac"]), (0.0, 0.5, ["train_frac", "val_frac"]),
+        (0.7, 0.3, ["val_frac"]), (0.9, 0.2, ["train_frac"]), (1.0, 0.1, ["train_frac"]),
+        (0.5, "nan", ["val_frac"]), (0.8, 0.25, ["train_frac", "val_frac"]),
     ])
     def test_bad_split_fractions_are_data_error(self, workspace, tmp_path, caplog, command,
-                                                train_frac, val_frac):
-        # -0.3 with 1.2 once wrapped around to a 70/20/10 split and exited 0
+                                                train_frac, val_frac, cited):
+        # -0.3 with 1.2 once wrapped around to a 70/20/10 split and exited 0. A
+        # fraction is cited when it is rejected next to the other's default;
+        # 0.8 with 0.25 is rejected only together.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(with_keys(RUN_CONFIG, train_frac=train_frac, val_frac=val_frac))
         assert dispatch([command, "--config", str(cfg), "--data",
                          str(workspace / "data" / "trades.csv"), "--out", str(tmp_path / "o")]) == 2
         assert not (tmp_path / "o" / "manifest.json").exists()
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
-        assert any("train_frac" in message for message in errors), errors
+        assert len(errors) == 1 and "train_frac" in errors[0], errors
+        assert errors[0].startswith(f"data error: {config_lines(cfg, cited)}: "), errors
 
     @pytest.mark.parametrize("key", ["mlp_hidden_size", "epochs"])
     def test_baseline_config_checked_before_parse(self, tmp_path, caplog, key):
@@ -571,11 +586,30 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and key in errors[0], errors
 
-    def test_zero_budget_is_usage_error(self, workspace, tmp_path):
+    @pytest.mark.parametrize("flag, value", [("--budget", "0"), ("--jobs", "0"), ("--jobs", "-3")])
+    def test_budget_or_jobs_below_one_is_usage_error(self, workspace, tmp_path, capsys, flag,
+                                                     value):
+        # --jobs 0 and -3 once ran serially and exited 0
         assert dispatch(["gridsearch", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
-                         "--budget", "0", "--out", str(tmp_path / "o")]) == 1
+                         flag, value, "--out", str(tmp_path / "o")]) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o" / "manifest.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        *[[command, "--checkpoint", "c.json", "--data", "t.csv", flag, value]
+          for command in ("evaluate", "predict")
+          for flag, value in [("--config", "run.cfg"), ("--seed", "99"), ("--market", "AT"),
+                              ("--index", "2")]],
+        ["report", "--seed", "1", "results.csv"],
+        ["ingest", "--data", "t.csv", "--seed", "1"],
+        ["synth", "--index", "2"],
+    ], ids=lambda argv: f"{argv[0]}_{argv[-2] if argv[0] != 'report' else argv[1]}")
+    def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
+        # each was once accepted, then ignored or only checked
+        assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     @pytest.mark.parametrize("content", ["not json\n", '{"magic": "x"}\n', "[]\n"],
@@ -619,6 +653,44 @@ class TestExitCodes:
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--variant", "bogus", "--out", str(tmp_path / "o")]) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeCli:
+    """README's CLI section and ``cli.build_parser()`` agree."""
+
+    @staticmethod
+    def subparsers() -> dict:
+        parser = cli.build_parser()
+        return next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def test_every_example_parses(self):
+        block = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```", 2)[1]
+        examples = [line.split()[1:] for line in block.splitlines()
+                    if line.startswith("orderfusion ")]
+        assert sorted(argv[0] for argv in examples) == sorted(self.subparsers())
+        for argv in examples:
+            cli.build_parser().parse_args(argv)     # a usage error raises
+
+    def test_flag_table_lists_each_command_flags(self):
+        text = README.read_text(encoding="utf-8").split("| Command | Flags |", 1)[1]
+        rows = [line.split("|") for line in text.split("\n\n", 1)[0].splitlines()
+                if line.startswith("| `")]
+        table = {cells[1].strip().strip("`"): set(re.findall(r"`(--[a-z]+)`", cells[2]))
+                 for cells in rows}
+        flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+                 for name, p in self.subparsers().items()}
+        assert table == flags
+
+
+def config_lines(cfg: Path, keys) -> str:
+    """``path:line`` of each of ``keys`` in the config file ``cfg``, in file order."""
+    lines = cfg.read_text().splitlines()
+    return ", ".join(f"{cfg}:{n}" for n, line in enumerate(lines, start=1)
+                     if line.split("=", 1)[0].strip() in keys)
 
 
 PARENT_KEYS = {
@@ -670,7 +742,7 @@ class TestConfigSchema:
         assert named == cli.CONFIG_KEYS
         path = tmp_path / "readme.cfg"
         path.write_text(block)
-        cfg = read_kv_config(path)
+        cfg, _ = read_kv_config(path)
         for cls, prefix in SECTIONS:
             assert cli._config(cls, cfg, prefix) == cls(), cls
 

@@ -12,7 +12,7 @@ import pytest
 
 from orderfusion import model as M
 from orderfusion import tensor as T
-from orderfusion.market import Sample
+from orderfusion.market import MarketConfig, Sample
 from orderfusion.model import (
     COMPUTE_DTYPE,
     ModelConfig,
@@ -808,21 +808,26 @@ class TestParamCount:
 
 
 class TestCheckpoint:
+    AT2 = MarketConfig(index_x=2, delta_c_minutes=0)
+
     def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(61)
         config = small_config(seed=9)
         params = init_params(config)
         feat = RobustScaler(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0]), 100)
         lab = RobustScaler(np.array([10.0]), np.array([2.5]), 100)
         path = tmp_path / "model.json"
-        save_checkpoint(path, config, params, feat, lab)
-        config2, params2, feat2, lab2, extra = load_checkpoint(path)
+        save_checkpoint(path, config, params, feat, lab, self.AT2, 7)
+        config2, params2, feat2, lab2, market = load_checkpoint(path)
         assert config2 == config
         for name in params.names:
             np.testing.assert_array_equal(params[name].value.data, params2[name].value.data)
         np.testing.assert_array_equal(feat2.medians, feat.medians)
         assert lab2.n_fit == 100
-        assert extra == {}
+        assert market == self.AT2
+        payload = json.loads(path.read_text())
+        assert payload["market"] == {"index": 2, "delta_c_minutes": 0}
+        assert payload["best_epoch"] == 7 and payload["config"]["seed"] == 9
+        assert "extra" not in payload and "seed" not in payload
 
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -830,15 +835,24 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
 
-    def test_rejects_extra_that_is_not_an_object(self, tmp_path):
+    @pytest.mark.parametrize("market, message", [
+        (None, "market is None"), ([1, 30], "market is"), ({"delta_c_minutes": 30}, "market is"),
+        ({"index": 5, "delta_c_minutes": 30}, "index_x must be"),
+        ({"index": True, "delta_c_minutes": 30}, "market is"),
+        ({"index": "1", "delta_c_minutes": 30}, "market is"),
+        ({"index": 1, "delta_c_minutes": 30.0}, "market is"),
+    ], ids=["missing", "list", "no_index", "index_5", "index_true", "index_str", "offset_float"])
+    def test_rejects_a_malformed_market(self, tmp_path, market, message):
         config = small_config(seed=9)
         feat = RobustScaler(np.array([0.0]), np.array([1.0]), 1)
         path = tmp_path / "model.json"
-        save_checkpoint(path, config, init_params(config), feat, feat, extra={"best_epoch": 1})
+        save_checkpoint(path, config, init_params(config), feat, feat, self.AT2, 1)
         payload = json.loads(path.read_text())
-        payload["extra"] = [1, 2]
+        payload["market"] = market
+        if market is None:
+            del payload["market"]
         path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="extra"):
+        with pytest.raises(ValueError, match=message):
             load_checkpoint(path)
 
     def test_bytes_match_the_stream_encoder(self, tmp_path):
@@ -849,7 +863,7 @@ class TestCheckpoint:
         params["proj.buy.b"].value.data[0] = [-1e300, 0.1, 3 * 5e-324, -5e-324]
         feat = RobustScaler(np.array([1 / 3, -0.0, 5e-324]), np.array([1e300, 1.0, 0.1]), 7)
         path = tmp_path / "c.json"
-        save_checkpoint(path, config, params, feat, feat, extra={"best_epoch": 3})
+        save_checkpoint(path, config, params, feat, feat, self.AT2, 3)
         reference = io.StringIO()
         json.dump(json.loads(path.read_text(encoding="utf-8")), reference, sort_keys=True)
         assert path.read_bytes() == (reference.getvalue() + "\n").encode("utf-8")
@@ -861,6 +875,6 @@ class TestCheckpoint:
         config = small_config(seed=5)
         feat = RobustScaler(np.array([0.0]), np.array([1.0]), 1)
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        save_checkpoint(p1, config, init_params(config), feat, feat)
-        save_checkpoint(p2, config, init_params(config), feat, feat)
+        save_checkpoint(p1, config, init_params(config), feat, feat, self.AT2, 1)
+        save_checkpoint(p2, config, init_params(config), feat, feat, self.AT2, 1)
         assert p1.read_bytes() == p2.read_bytes()
