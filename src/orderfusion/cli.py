@@ -29,6 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:     # Windows has no getrusage
+    resource = None
+
 # The model, training, baseline and synth modules are imported by the
 # commands that run them, so that a command compiles no module it does not
 # use: ``synth`` imports no model code, and ``train`` no baseline code.
@@ -243,10 +248,22 @@ def _environment() -> dict:
     }
 
 
+def _usage() -> tuple[float | None, int | None]:
+    """This process's peak RSS in MB and its minor page faults so far, or
+    None for both where ``resource`` is missing."""
+    if resource is None:
+        return None, None
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    per_mb = 2**20 if sys.platform == "darwin" else 2**10      # ru_maxrss: bytes on macOS, else KiB
+    return round(usage.ru_maxrss / per_mb, 1), usage.ru_minflt
+
+
 def write_manifest(out_dir: Path, command: str, config_path, seed, flags: dict, inputs, outputs,
                    started: float):
     """``flags`` are the parsed flags, which the manifest records without
-    ``--out``. Inputs and outputs are recorded with their SHA-256."""
+    ``--out``. Inputs and outputs are recorded with their SHA-256, and the
+    command's own process with its peak RSS and minor page faults."""
+    peak_rss_mb, minor_faults = _usage()
     manifest = {
         "command": command,
         "config_path": str(config_path) if config_path else None,
@@ -256,6 +273,8 @@ def write_manifest(out_dir: Path, command: str, config_path, seed, flags: dict, 
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_clock_seconds": round(time.time() - started, 3),
+        "peak_rss_mb": peak_rss_mb,
+        "minor_faults": minor_faults,
         "artifact_version": __version__,
     }
     return _write_json(out_dir / "manifest.json", manifest)

@@ -527,7 +527,7 @@ def row_bytes(config: ModelConfig) -> int:
     and the (t, t) attention weights. Backward holds as many again in
     gradients, plus, when there is a degree, the (H, H) weight gradients
     that a batched matmul forms for every row before summing them. Against
-    tracemalloc's peak per row this is 1.3-1.7x on the shapes
+    tracemalloc's peak per row this is 1.3-2.4x on the shapes
     ``tests/test_model.py`` measures.
     """
     t = 2 ** config.cutoff_exponent if config.mask_variant == "dual" else config.t_max

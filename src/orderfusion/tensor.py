@@ -19,10 +19,10 @@ dtype of its op's output, so float32 inputs and leaves give float32 outputs
 and gradients throughout. Operands of mixed dtypes follow NumPy's promotion.
 
 Only leaves keep gradients. A tensor created with ``requires_grad=True``
-owns a zero-filled ``grad`` buffer from birth; repeated ``backward`` calls
-keep adding into it until ``zero_grad`` is called. An op output's ``grad``
-is always ``None``: its gradient lives in its node during a backward pass,
-which frees it once used.
+owns a zero-filled ``grad`` buffer from birth. Each backward consumes its
+graph; leaves keep adding across graphs until ``zero_grad``. An op output's
+``grad`` is always ``None``: its gradient lives in its node during a
+backward pass, which frees it once used.
 """
 
 from __future__ import annotations
@@ -169,7 +169,8 @@ class _Node:
     ``parents`` holds one gradient sink per operand: its ``_Node``, the
     operand itself for a leaf, or None where no gradient is needed.
     ``backward_fn(grad)`` returns one gradient per operand; ``backward``
-    drops those whose sink is None, so a closure may return None there.
+    drops those whose sink is None, so a closure may return None there,
+    and sets ``backward_fn`` to None and ``parents`` to () once it has run.
     """
 
     __slots__ = ("parents", "backward_fn", "grad", "shape")
@@ -479,10 +480,11 @@ def mean_all(x: Tensor) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Add d(loss)/d(leaf) into every leaf reachable from ``loss``.
 
-    ``loss`` must be a 1x1 scalar. Leaf gradients add into their buffers,
-    so repeated calls accumulate one pass each; call ``zero_grad`` between
-    steps. Each node's gradient is freed as soon as its closure consumes
-    it, so no node holds a gradient after the pass.
+    ``loss`` must be a 1x1 scalar. The pass consumes the graph: each node
+    drops its closure, its parent links and its gradient once it has run,
+    so the arrays they hold are freed during the pass, and a later backward
+    that reaches a used node raises ``GradError``. Leaf gradients add into
+    their buffers, so separate graphs accumulate until ``zero_grad``.
     """
     if loss.data.size != 1:
         raise GradError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -500,6 +502,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node.backward_fn is None:
+            raise GradError("backward reached a graph that an earlier backward already used")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
@@ -508,7 +512,11 @@ def backward(loss: Tensor) -> None:
 
     _accumulate(root, np.ones_like(loss.data))
     for node in reversed(topo):
-        grad, node.grad = node.grad, None
-        for sink, g in zip(node.parents, node.backward_fn(grad)):
+        grads = node.backward_fn(node.grad)
+        parents = node.parents
+        node.backward_fn = node.grad = None
+        node.parents = ()
+        for sink, g in zip(parents, grads):
             if sink is not None:
                 _accumulate(sink, g)
+        grads = g = None    # freed before the next closure runs

@@ -184,14 +184,6 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
             params.zero_grad()
             slices = [rows] if slice_size is None else np.array_split(rows, -(-len(rows) // slice_size))
             for part in slices:
-                # Each slice's graph lives until the next assignment to
-                # ``loss``, on purpose. Dropping it right after backward
-                # lowers the train_wide peak RSS 65.1 -> 56.1 MB but raises
-                # its wall time 0.942 -> 1.033 s and its minor faults 22k ->
-                # 54k (train_small: no wall change beyond noise, faults 20k
-                # -> 39k; float32, 2 vCPUs, one BLAS thread, medians of 8
-                # and 6 alternating train commands): glibc trims the freed
-                # top of the heap and the next slice faults it back in.
                 loss = batch_loss(part, rng)
                 if len(slices) > 1:
                     loss = loss * (len(part) / len(rows))

@@ -286,7 +286,7 @@ class TestCommandVariants:
 
 
 MANIFEST_KEYS = {"command", "config_path", "seed", "flags", "environment", "inputs", "outputs",
-                 "wall_clock_seconds", "artifact_version"}
+                 "wall_clock_seconds", "peak_rss_mb", "minor_faults", "artifact_version"}
 
 
 def sha256(path) -> str:
@@ -349,6 +349,11 @@ class TestManifest:
         assert manifest["outputs"] and all(Path(p).is_file() for p in manifest["outputs"])
         assert manifest["outputs"] == {p: sha256(p) for p in manifest["outputs"]}
         assert isinstance(manifest["seed"], int)
+
+    def test_train_records_its_process_memory(self, runs):
+        manifest = json.loads((runs["train"][0] / "manifest.json").read_text())
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] >= 0
+        assert isinstance(manifest["minor_faults"], int) and manifest["minor_faults"] >= 0
 
     def test_records_flags_and_environment(self, workspace, tmp_path):
         """Two baselines on the same data differ in their manifests' flags,

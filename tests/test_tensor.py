@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orderfusion import tensor as T
-from orderfusion.model import ModelConfig, init_params, predict_batch
+from orderfusion.market import Sample
+from orderfusion.model import COMPUTE_DTYPE, ModelConfig, encode_samples, init_params, predict_batch
 from orderfusion.training import aql_loss
 
 
@@ -420,14 +423,26 @@ class TestBackwardContract:
         with pytest.raises(T.GradError):
             T.backward(x + x)
 
-    def test_repeated_backward_accumulates(self):
+    def test_second_backward_raises_and_fresh_graphs_accumulate(self):
         x = T.Tensor([[3.0]], requires_grad=True)
         loss = T.sum_all(x * x)
         T.backward(loss)
-        T.backward(loss)
+        with pytest.raises(T.GradError, match="already used"):
+            T.backward(loss)
+        np.testing.assert_allclose(x.grad, [[6.0]])
+        T.backward(T.sum_all(x * x))
         np.testing.assert_allclose(x.grad, [[12.0]])
         x.zero_grad()
-        T.backward(loss)
+        T.backward(T.sum_all(x * x))
+        np.testing.assert_allclose(x.grad, [[6.0]])
+
+    def test_backward_through_a_used_node_raises(self):
+        # the check runs before any gradient is written
+        x = T.Tensor([[3.0]], requires_grad=True)
+        y = x * x
+        T.backward(T.sum_all(y))
+        with pytest.raises(T.GradError, match="already used"):
+            T.backward(T.sum_all(y * 2.0))
         np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_shared_subexpression(self):
@@ -452,14 +467,40 @@ class TestBackwardContract:
         mask = np.ones((5, 8, 1))
         pred = predict_batch(params, config, buy, sell, mask, mask)
         loss = aql_loss(pred, T.constant(rng.normal(size=(5, 1))), config.quantiles)
+        nodes = graph_nodes(loss)   # before backward, which unlinks each node it runs
         T.backward(loss)
-        nodes = graph_nodes(loss)
         assert len(nodes) > 50
         assert all(node.grad is None for node in nodes)
+        assert all(node.backward_fn is None and node.parents == () for node in nodes)
         assert pred.grad is None and loss.grad is None
         grads = [p.grad for p in params]
         assert all(g is not None and np.isfinite(g).all() for g in grads)
         assert any(g.any() for g in grads)
+
+    def test_backward_frees_the_graph(self):
+        """One training slice at the train_wide shape (27 rows, float32):
+        once backward has run, the graph holds at most 64 KB although
+        ``pred`` and ``loss`` stay referenced (10.7 MB when backward left
+        every closure alive)."""
+        rng = np.random.default_rng(59)
+        config = ModelConfig(hidden_dim=64, interaction_degree=2, cutoff_exponent=6, t_max=128)
+        t0 = datetime(2024, 1, 1, tzinfo=timezone.utc)
+        samples = [Sample(t0, rng.normal(size=(128, 3)), rng.normal(size=(128, 3)),
+                          float(rng.normal()), t0) for _ in range(27)]
+        b = encode_samples(samples, config).astype(COMPUTE_DTYPE)
+        params = init_params(config).astype(COMPUTE_DTYPE)
+        labels = T.constant(b.labels)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pred = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
+            loss = aql_loss(pred, labels, config.quantiles)
+            T.backward(loss)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert pred._node is not None and loss._node is not None
+        assert abs(held) <= 64 * 1024, f"{held / 1e6:.2f} MB held after backward"
 
     @pytest.mark.parametrize("variant", [
         {},
