@@ -52,8 +52,8 @@ def main() -> int:
 
     steps = [
         ["synth", "--config", str(out / "synth.cfg"), "--out", str(out / "data")],
-        ["ingest", "--data", str(out / "data" / "trades.csv"),
-         "--market", "DE", "--index", "1", "--out", str(out / "ingest")],
+        ["ingest", "--config", str(out / "run.cfg"),
+         "--data", str(out / "data" / "trades.csv"), "--out", str(out / "ingest")],
         ["train", "--config", str(out / "run.cfg"),
          "--data", str(out / "data" / "trades.csv"), "--out", str(out / "model")],
         ["evaluate", "--checkpoint", str(out / "model" / "checkpoint.json"),

@@ -107,7 +107,7 @@ CONFIG_KEYS = frozenset({
     # ModelConfig
     "hidden_dim", "interaction_degree", "cutoff_exponent", "t_max", "mask_variant",
     "aggregation_variant", "pooling_variant", "head_variant", "head_tau",
-    # TrainConfig ("seed" is read as a run key)
+    # TrainConfig
     "epochs", "batch_size", "lr0", "decay",
     # SynthConfig
     "n_days", "start", "base_price", "vol_per_hour", "vol_hour_amplitude", "anchor_vol",
@@ -116,7 +116,8 @@ CONFIG_KEYS = frozenset({
     "half_spread", "coupling", "session_minutes",
     # MLPConfig
     "mlp_hidden_size", "mlp_n_layers", "mlp_dropout",
-    # run, split and grid
+    # run, split and grid; "seed" also sets the seed field of the model,
+    # training and synth configs
     "seed", "market", "index", "train_frac", "val_frac", "train_end", "val_end",
     "grid_hidden_dim", "grid_cutoff_exponent", "grid_interaction_degree",
 })
@@ -170,21 +171,21 @@ def _get(cfg: dict, key: str, cast, default=None):
         raise ConfigValueError([key], f"config key {key}={cfg[key]!r}: {exc}") from exc
 
 
-def _checked(build, given: dict, read: dict, prefix: str = ""):
-    """``build(**given, **read)``, where ``read`` holds the values of config
-    keys, each under the name of the argument it sets (the key without
+def _checked(build, read: dict, prefix: str = ""):
+    """``build(**read)``, where ``read`` holds the values of config keys,
+    each under the name of the argument it sets (the key without
     ``prefix``). A ValueError from ``build`` is a data error that cites the
     keys it is down to: those ``build`` rejects alone, else those without
     which it passes, else all of them."""
     def rejects(names):
         try:
-            build(**given, **{n: read[n] for n in names})
+            build(**{n: read[n] for n in names})
         except ValueError:
             return True
         return False
 
     try:
-        return build(**given, **read)
+        return build(**read)
     except ValueError as exc:
         names = ([n for n in read if rejects([n])]
                  or [n for n in read if not rejects([m for m in read if m != n])] or list(read))
@@ -192,14 +193,21 @@ def _checked(build, given: dict, read: dict, prefix: str = ""):
                                f"bad config value: {prefix}{exc}") from exc
 
 
-def _config(cls, cfg: dict, prefix: str = "", **given):
+def _config(cls, cfg: dict, prefix: str = ""):
     """``cls`` built from the config keys ``prefix`` + field name, each cast
-    by its field's annotation, and from ``given``, which wins; a field with
-    neither keeps the dataclass default. A value ``cls`` rejects is a data
-    error that cites its key, as ``_checked`` says."""
+    by its field's annotation; a field without its key keeps the dataclass
+    default. A value ``cls`` rejects is a data error that cites its key, as
+    ``_checked`` says."""
     read = {f.name: _get(cfg, prefix + f.name, _CASTS[f.type]) for f in fields(cls)
-            if f.name not in given and prefix + f.name in cfg and f.type in _CASTS}
-    return _checked(cls, given, read, prefix)
+            if prefix + f.name in cfg and f.type in _CASTS}
+    return _checked(cls, read, prefix)
+
+
+def _seed(raw: str) -> int:
+    seed = int(raw)
+    if seed < 0:
+        raise ValueError("a seed must be >= 0")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +218,9 @@ def _config(cls, cfg: dict, prefix: str = "", **given):
 @dataclass
 class Run:
     """What ``dispatch`` resolves once for every command: the parsed flags,
-    the ``--config`` keys (empty for a command without one), the seed
-    (``--seed``, else the config's ``seed``, else 0; ``predict`` and
-    ``evaluate`` set the checkpoint's) and the output directory, already
-    made."""
+    the ``--config`` keys (empty for a command without one), the seed (the
+    config's ``seed``, else 0; ``predict`` and ``evaluate`` set the
+    checkpoint's) and the output directory, already made."""
 
     args: argparse.Namespace
     cfg: dict
@@ -304,13 +311,11 @@ def _market(market: str = "DE", index: int = 1) -> MarketConfig:
     return MarketConfig.for_market(market, index)
 
 
-def _market_config(cfg: dict, market: str | None, index: int | None) -> MarketConfig:
-    """The market of the flags ``market`` and ``index``, each else its
-    config key, else DE and index 1."""
-    given = {k: v for k, v in (("market", market), ("index", index)) if v is not None}
-    read = {k: _get(cfg, k, cast) for k, cast in (("market", str), ("index", int))
-            if k in cfg and k not in given}
-    return _checked(_market, given, read)
+def _market_config(cfg: dict, keys=("market", "index")) -> MarketConfig:
+    """The market of the config keys ``keys``: ``market`` (else DE) and
+    ``index`` (else 1)."""
+    casts = {"market": str, "index": int}
+    return _checked(_market, {k: _get(cfg, k, casts[k]) for k in keys if k in cfg})
 
 
 def _load_samples(data_path, market_cfg: MarketConfig):
@@ -346,7 +351,7 @@ def _split_samples(samples, cfg: dict):
     first, last = (t.replace(tzinfo=timezone.utc) for t in (datetime.min, datetime.max))
     if train_end is None:
         keys = [k for k in ("train_frac", "val_frac") if k in cfg]
-        train_frac, val_frac = _checked(_fractions, {}, {k: _get(cfg, k, float) for k in keys})
+        train_frac, val_frac = _checked(_fractions, {k: _get(cfg, k, float) for k in keys})
         n = len(samples)
         cut = lambda k: samples[k].delivery_start if k < n else last
         train_end, val_end = cut(int(n * train_frac)), cut(int(n * (train_frac + val_frac)))
@@ -362,10 +367,13 @@ def _split_samples(samples, cfg: dict):
 def _prepare_training(run: Run):
     """The market, the scaled training and validation splits, the raw test
     split and the scalers fitted on the training split."""
-    market_cfg = _market_config(run.cfg, run.args.market, run.args.index)
+    market_cfg = _market_config(run.cfg)
     _, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, run.cfg)
-    feature_scaler, label_scaler = fit_scaler(train_raw)
+    try:
+        feature_scaler, label_scaler = fit_scaler(train_raw)
+    except ValueError as exc:       # no trade before any training forecast time
+        raise DataError(f"{run.args.data}: {exc}") from exc
     scale = lambda group: [apply_scaler(s, feature_scaler, label_scaler) for s in group]
     return market_cfg, scale(train_raw), scale(val_raw), test_raw, feature_scaler, label_scaler
 
@@ -390,15 +398,15 @@ def _result_row(model, fold, index, report, best_of_pair=""):
 def cmd_synth(run: Run):
     from .synth import SynthConfig, write_market
 
-    synth_cfg = _config(SynthConfig, run.cfg, seed=run.seed)
-    delta_c = _market_config(run.cfg, run.args.market, 1).delta_c_minutes
+    synth_cfg = _config(SynthConfig, run.cfg)
+    delta_c = _market_config(run.cfg, ("market",)).delta_c_minutes
     trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
     return [trades_path, labels_path]
 
 
 def cmd_ingest(run: Run):
-    market_cfg = _market_config(run.cfg, run.args.market, run.args.index)
+    market_cfg = _market_config(run.cfg)
     _, _, report = _load_samples(run.args.data, market_cfg)
     payload = report.to_dict()
     payload["market_delta_c_minutes"] = market_cfg.delta_c_minutes
@@ -410,8 +418,8 @@ def cmd_train(run: Run):
     from .model import ModelConfig, save_checkpoint
     from .training import TrainConfig, train
 
-    model_config = _config(ModelConfig, run.cfg, seed=run.seed)
-    train_cfg = _config(TrainConfig, run.cfg, seed=run.seed)
+    model_config = _config(ModelConfig, run.cfg)
+    train_cfg = _config(TrainConfig, run.cfg)
     market_cfg, train_s, val_s, _, feat, lab = _prepare_training(run)
 
     result = train(model_config, train_s, val_s, train_cfg)
@@ -434,8 +442,8 @@ def cmd_gridsearch(run: Run):
         raise UsageError(f"--budget must be >= 1, got {run.args.budget}")
     if run.args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {run.args.jobs}")
-    base_config = _config(ModelConfig, cfg, seed=run.seed)
-    train_cfg = _config(TrainConfig, cfg, seed=run.seed)
+    base_config = _config(ModelConfig, cfg)
+    train_cfg = _config(TrainConfig, cfg)
     max_alpha = int(math.log2(base_config.t_max))
 
     def values(field, default):
@@ -531,10 +539,10 @@ def cmd_baseline(run: Run):
     if variant not in NAIVE_BASELINES and variant not in FEATURE_BASELINES:
         raise UsageError(f"unknown baseline variant {variant!r}; known: "
                          + " ".join([*NAIVE_BASELINES, *FEATURE_BASELINES]))
-    market_cfg = _market_config(cfg, run.args.market, run.args.index)
+    market_cfg = _market_config(cfg)
     if variant in FEATURE_BASELINES:    # config errors before the parse
         mlp_cfg = _config(MLPConfig, cfg, "mlp_")
-        train_cfg = _config(TrainConfig, cfg, seed=run.seed)
+        train_cfg = _config(TrainConfig, cfg)
     trades, samples, _ = _load_samples(run.args.data, market_cfg)
     train_raw, val_raw, test_raw = _split_samples(samples, cfg)
     if variant in NAIVE_BASELINES:
@@ -560,8 +568,8 @@ def cmd_ablate(run: Run):
     if variant not in ABLATION_VARIANTS:
         raise UsageError(f"unknown ablation variant {variant!r}; known: "
                          + " ".join(sorted(ABLATION_VARIANTS)))
-    model_config = _config(ModelConfig, run.cfg, seed=run.seed)
-    train_cfg = _config(TrainConfig, run.cfg, seed=run.seed)
+    model_config = _config(ModelConfig, run.cfg)
+    train_cfg = _config(TrainConfig, run.cfg)
     market_cfg, train_s, val_s, test_raw, feat, lab = _prepare_training(run)
 
     overrides = ABLATION_VARIANTS[variant]
@@ -656,9 +664,6 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
         "config": dict(default=None, help="key = value configuration file"),
-        "seed": dict(type=int, default=None),
-        "market": dict(choices=["DE", "AT"], default=None),
-        "index": dict(type=int, choices=[1, 2, 3], default=None),
         "data": dict(required=True, help="trade CSV"),
         "checkpoint": dict(required=True),
     }
@@ -671,9 +676,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="output directory")
         return p
 
-    run_flags = ("config", "seed", "market", "index", "data")
-    command("synth", "generate a synthetic market", "config", "seed", "market")
-    command("ingest", "parse trades and report sample counts", "config", "market", "index", "data")
+    run_flags = ("config", "data")
+    command("synth", "generate a synthetic market", "config")
+    command("ingest", "parse trades and report sample counts", *run_flags)
     command("train", "train a model", *run_flags)
     p = command("gridsearch", "exhaustive hyperparameter search", *run_flags)
     p.add_argument("--jobs", type=int, default=1)
@@ -714,9 +719,12 @@ def dispatch(argv) -> int:
         started = time.time()
         given = vars(args)
         cfg, where = read_kv_config(given["config"]) if given.get("config") else ({}, {})
-        seed = given["seed"] if given.get("seed") is not None else _get(cfg, "seed", int, 0)
-        run = Run(args=args, cfg=cfg, seed=seed, out=Path(args.out))
-        run.out.mkdir(parents=True, exist_ok=True)
+        run = Run(args=args, cfg=cfg, seed=_get(cfg, "seed", _seed, 0), out=Path(args.out))
+        try:
+            run.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:      # a file, or under one
+            raise UsageError(f"--out {args.out}: cannot make the output directory: "
+                             f"{exc.strerror}") from exc
         outputs = _COMMANDS[args.command](run)
         inputs = [given[k] for k in ("data", "config", "checkpoint") if given.get(k)]
         write_manifest(run.out, args.command, given.get("config"), run.seed, given,
@@ -729,7 +737,8 @@ def dispatch(argv) -> int:
         cited = ", ".join(where[k] for k in where if k in exc.keys)     # in file order
         log.error("data error: %s%s", f"{cited}: " if cited else "", exc)
         return 2
-    except (DataError, ParseError, NoLabelError, FileNotFoundError) as exc:
+    except (DataError, ParseError, NoLabelError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as exc:        # an input path that names no file
         log.error("data error: %s", exc)
         return 2
     except FloatingPointError as exc:      # training's DivergenceError among them

@@ -1,7 +1,9 @@
 """Fixed-length padding and the dual mask family, built per batch.
 
-Sequences are pre-padded: sentinel rows sit at the front so the newest
-trades occupy the trailing positions. A side's mask depends only on its
+Sequences are pre-padded: rows of zeros sit at the front so the newest
+trades occupy the trailing positions. Zero is the scaled median, so a padded
+row carries no value that an arm without a padding mask (the ``none`` and
+``random`` variants) reads as an outlier. A side's mask depends only on its
 valid length (the real rows left after padding) and the temporal cutoff
 2**alpha, so both steps take a whole batch of sides at once and the masks
 are array expressions of the (n,) valid lengths. Masks are float arrays
@@ -16,14 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "PAD_SENTINEL",
     "MASK_VARIANTS",
     "DualMask",
     "pad_side",
     "build_dual_mask",
 ]
-
-PAD_SENTINEL = 10_000.0
 
 MASK_VARIANTS = ("dual", "none", "random", "reverse")
 
@@ -34,12 +33,12 @@ class DualMask:
 
 
 def pad_side(sides: list, t_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-pad each side's (rows, 3) matrix to t_max with sentinel rows;
+    """Pre-pad each side's (rows, 3) matrix to t_max with rows of zeros;
     excess old rows are cut from the front so the newest t_max survive.
 
     Returns the (n, t_max, 3) padded batch and the (n,) valid lengths.
     """
-    padded = np.full((len(sides), t_max, 3), PAD_SENTINEL)
+    padded = np.zeros((len(sides), t_max, 3))
     valid = np.zeros(len(sides), dtype=np.int64)
     for i, rows in enumerate(sides):
         rows = rows[-t_max:]

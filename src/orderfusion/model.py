@@ -524,10 +524,12 @@ def row_bytes(config: ModelConfig) -> int:
     the dual mask, whose cutoff makes the rest dead leading rows that
     ``predict_batch`` trims, else ``t_max``. Each side's graph keeps about
     3 (t, H) arrays from the projection and, per degree, 4 (t, H) arrays
-    and the (t, t) attention weights. Backward holds as many again in
-    gradients, plus, when there is a degree, the (H, H) weight gradients
-    that a batched matmul forms for every row before summing them. Against
-    tracemalloc's peak per row this is 1.3-2.4x on the shapes
+    and the (t, t) attention weights. The graph term is counted twice,
+    although backward frees each node's arrays as it runs: the second copy
+    is headroom kept so that slice and chunk boundaries do not move. When
+    there is a degree, it adds the (H, H) weight gradients that a batched
+    matmul forms for every row before summing them. The bound sits
+    1.3-2.4x above tracemalloc's peak per row on the shapes
     ``tests/test_model.py`` measures.
     """
     t = 2 ** config.cutoff_exponent if config.mask_variant == "dual" else config.t_max

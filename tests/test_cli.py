@@ -82,7 +82,7 @@ class TestSynthIngest:
     def test_ingest_report(self, workspace):
         out = workspace / "ingest"
         code = dispatch(["ingest", "--data", str(workspace / "data" / "trades.csv"),
-                         "--market", "DE", "--index", "1", "--out", str(out)])
+                         "--out", str(out)])
         assert code == 0
         report = json.loads((out / "ingest_report.json").read_text())
         assert report["n_samples"] > 0
@@ -133,7 +133,6 @@ class TestBaselineAblateReport:
     def test_naive_baseline(self, workspace):
         out = workspace / "naive1"
         code = dispatch(["baseline", "--data", str(workspace / "data" / "trades.csv"),
-                         "--market", "DE", "--index", "1",
                          "--variant", "naive1", "--out", str(out)])
         assert code == 0
         with open(out / "baseline_results.csv") as fh:
@@ -285,6 +284,10 @@ class TestCommandVariants:
         assert not (tmp_path / "o" / "manifest.json").exists()
 
 
+# flags that once set a run value the config file now holds alone
+RETIRED_FLAGS = [("--seed", "1"), ("--market", "AT"), ("--index", "2")]
+
+
 MANIFEST_KEYS = {"command", "config_path", "seed", "flags", "environment", "inputs", "outputs",
                  "wall_clock_seconds", "peak_rss_mb", "minor_faults", "artifact_version"}
 
@@ -364,8 +367,7 @@ class TestManifest:
             assert dispatch(["baseline", "--variant", variant, "--config", cfg, "--data", data,
                              "--out", str(out)]) == 0
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["flags"] == {"config": cfg, "data": data, "index": None,
-                                         "market": None, "seed": None, "variant": variant}
+            assert manifest["flags"] == {"config": cfg, "data": data, "variant": variant}
             env = manifest["environment"]
             assert set(env) == {"python", "numpy", "blas_name", "blas_version", "num_threads"}
             assert env["python"] == sys.version and env["numpy"] == np.__version__
@@ -606,12 +608,18 @@ class TestExitCodes:
           for command in ("evaluate", "predict")
           for flag, value in [("--config", "run.cfg"), ("--seed", "99"), ("--market", "AT"),
                               ("--index", "2")]],
-        ["report", "--seed", "1", "results.csv"],
-        ["ingest", "--data", "t.csv", "--seed", "1"],
-        ["synth", "--index", "2"],
+        *[["report", flag, value, "results.csv"] for flag, value in RETIRED_FLAGS],
+        *[[command, *required, flag, value]
+          for command, required in [("synth", []), ("ingest", ["--data", "t.csv"]),
+                                    ("train", ["--data", "t.csv"]),
+                                    ("gridsearch", ["--data", "t.csv"]),
+                                    ("baseline", ["--data", "t.csv"]),
+                                    ("ablate", ["--data", "t.csv", "--variant", "dual_mask"])]
+          for flag, value in RETIRED_FLAGS],
     ], ids=lambda argv: f"{argv[0]}_{argv[-2] if argv[0] != 'report' else argv[1]}")
     def test_flag_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, argv):
-        # each was once accepted, then ignored or only checked
+        # each was once accepted, then ignored or only checked; seed, market
+        # and index are config keys alone
         assert dispatch(argv + ["--out", str(tmp_path / "o")]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -658,6 +666,67 @@ class TestExitCodes:
         assert dispatch(["ablate", "--config", str(workspace / "run.cfg"),
                          "--data", str(workspace / "data" / "trades.csv"),
                          "--variant", "bogus", "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "gridsearch", "ablate"])
+    def test_training_split_without_features_is_data_error(self, tmp_path, caplog, command):
+        # 12 hourly deliveries whose trades all sit inside the index-1 window,
+        # after the forecast time: every sample has a label and no trade row
+        # to fit the feature scaler on
+        fmt = lambda t: t.strftime("%Y-%m-%dT%H:%M:%SZ")
+        rows = ["delivery_start,side,price,volume,transaction_time"]
+        for i in range(12):
+            delivery = datetime(2024, 1, 2, tzinfo=timezone.utc) + timedelta(hours=i)
+            rows += [f"{fmt(delivery)},{side},{50 + i},1.0,{fmt(delivery - timedelta(minutes=45))}"
+                     for side in "+-"]
+        data = tmp_path / "trades.csv"
+        data.write_text("\n".join(rows) + "\n")
+        argv = [command, "--data", str(data), "--out", str(tmp_path / "o")]
+        assert dispatch(argv + (["--variant", "dual_mask"] if command == "ablate" else [])) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {data}: fit_scaler found no trade rows in the training set"]
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--data", "{dir}"],
+        ["train", "--config", "{dir}", "--data", "{data}"],
+        ["predict", "--checkpoint", "{dir}", "--data", "{data}"],
+        ["evaluate", "--checkpoint", "{dir}", "--data", "{data}"],
+        ["report", "{results}", "{dir}"],
+        ["ingest", "--data", "{results}/trades.csv"],
+    ], ids=["data", "config", "predict_checkpoint", "evaluate_checkpoint", "report_csv",
+            "data_under_a_file"])
+    def test_input_path_to_no_file_is_data_error(self, workspace, tmp_path, caplog, argv):
+        # a directory, or a path under a file
+        (tmp_path / "results.csv").write_text("model,index,aql\nm,1,1.0\n")
+        paths = {"dir": str(tmp_path), "data": str(workspace / "data" / "trades.csv"),
+                 "results": str(tmp_path / "results.csv")}
+        out = tmp_path / "o"
+        assert dispatch([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+        assert not (out / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith("data error: "), errors
+        assert str(tmp_path) in errors[0] and "\n" not in errors[0]
+
+    @pytest.mark.parametrize("command", ["train", "synth"])
+    def test_negative_seed_is_data_error(self, workspace, tmp_path, caplog, command):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_keys(SYNTH_CONFIG if command == "synth" else RUN_CONFIG, seed=-1))
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o")]
+        if command != "synth":
+            argv += ["--data", str(workspace / "data" / "trades.csv")]
+        assert dispatch(argv) == 2
+        assert not (tmp_path / "o").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {config_lines(cfg, ['seed'])}: "
+                          "config key seed='-1': a seed must be >= 0"], errors
+
+    def test_out_naming_a_file_is_usage_error(self, tmp_path, capsys):
+        results, out = tmp_path / "results.csv", tmp_path / "taken"
+        results.write_text("model,index,aql\nm,1,1.0\n")
+        out.write_text("keep\n")
+        assert dispatch(["report", "--out", str(out), str(results)]) == 1
+        assert f"--out {out}: cannot make the output directory" in capsys.readouterr().err
+        assert out.read_text() == "keep\n"
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -752,9 +821,9 @@ class TestConfigSchema:
             assert cli._config(cls, cfg, prefix) == cls(), cls
 
     def test_timestamp_value(self):
-        config = cli._config(SynthConfig, {"start": "2024-03-01T00:00:00Z", "seed": "5"}, seed=2)
+        config = cli._config(SynthConfig, {"start": "2024-03-01T00:00:00Z", "seed": "5"})
         assert config.start == datetime(2024, 3, 1, tzinfo=timezone.utc)
-        assert config.seed == 2
+        assert config.seed == 5
 
     @pytest.mark.parametrize("line", ["hiden_dim = 4", "sed = 5", "epochs = 3",
                                       "fusion_variant = no_fusion", "projection_bias = 1"],

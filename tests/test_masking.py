@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orderfusion.masking import PAD_SENTINEL, build_dual_mask, pad_side
+from orderfusion.masking import build_dual_mask, pad_side
 
 
 def mask_of(sides, t_max, alpha, variant="dual", draws=None):
@@ -17,13 +17,13 @@ class TestPadSide:
         rows = np.arange(9.0).reshape(3, 3)
         padded, valid = pad_side([rows], 8)
         np.testing.assert_array_equal(valid, [3])
-        assert (padded[0, :5] == PAD_SENTINEL).all()
+        assert (padded[0, :5] == 0.0).all()
         np.testing.assert_array_equal(padded[0, 5:], rows)
 
     def test_empty_side(self):
         padded, valid = pad_side([np.zeros((0, 3))], 4)
         np.testing.assert_array_equal(valid, [0])
-        assert (padded == PAD_SENTINEL).all()
+        assert (padded == 0.0).all()
 
     def test_truncation_keeps_newest(self):
         rows = np.arange(600.0).reshape(200, 3)
@@ -47,7 +47,7 @@ class TestPaddingMask:
         assert (mask_of([np.ones((8, 3))], 8, 3) == 1).all()
 
     def test_real_row_equal_to_sentinel_stays_unmasked(self):
-        rows = np.array([[1.0, 2.0, 3.0], (PAD_SENTINEL,) * 3])
+        rows = np.array([[1.0, 2.0, 3.0], (0.0,) * 3])   # a real row equal to a padded one
         np.testing.assert_array_equal(mask_of([rows], 4, 2), [[0, 0, 1, 1]])
 
 

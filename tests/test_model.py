@@ -298,14 +298,14 @@ def _batch_digest(batch):
 class TestEncodeSamples:
     # sha256 of every array encode_samples returns, per mask variant and cutoff
     @pytest.mark.parametrize("mask_variant, cutoff_exponent, n, expected", [
-        ("dual", 0, 6, "5b35959c82e97fbeb96e3ab1fcd790525143f30174f04cb44af2d5daa6625fb6"),
-        ("dual", 2, 6, "22b1c3e8155dfae077667f70a8cc9c0ea494d348acb663f50fb1f9dc4430354b"),
-        ("none", 0, 6, "2746d7308f607341a604c8ef56ff6fe265b1b1cf71cc3ccc2e8d6bd5db998f1a"),
-        ("none", 2, 6, "2746d7308f607341a604c8ef56ff6fe265b1b1cf71cc3ccc2e8d6bd5db998f1a"),
-        ("random", 0, 6, "2a9e0f2252a95652ac3c3af4e855fd2c53463ce1a29725e1889edfe844a98663"),
-        ("random", 2, 6, "2a9e0f2252a95652ac3c3af4e855fd2c53463ce1a29725e1889edfe844a98663"),
-        ("reverse", 0, 6, "4666cd20858b558c129a04b61d219fd58ceba31ed36826f0c454010b4efa7e0c"),
-        ("reverse", 2, 6, "cf168db03dfeb2fb5d9195d5b3e1020ec3b43db2e87f436ce35bc42623a89506"),
+        ("dual", 0, 6, "194141a280b720697acc92c4ac9034e05d1583771cd0e14cc174f9916297f9f0"),
+        ("dual", 2, 6, "2be2e8cc45d3768e6e3bc217d3ecc3d4158f6a4184e8e9abb89ffdb3b31ba278"),
+        ("none", 0, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
+        ("none", 2, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
+        ("random", 0, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
+        ("random", 2, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
+        ("reverse", 0, 6, "11a21cc83a00666289cfde684a06ec427cbb4f0b899564ff3c54513be3c7e221"),
+        ("reverse", 2, 6, "c8221a5e19b65bd93699416265ba59c05aa7e54b347a0657f318204fd7202d2d"),
         ("dual", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
         ("random", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
     ])
