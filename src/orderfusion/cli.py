@@ -16,15 +16,14 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import io
 import json
 import logging
 import math
 import os
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, fields, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +44,9 @@ from .market import (
     ParseError,
     apply_scaler,
     build_dataset,
+    decoded_lines,
     fit_scaler,
+    open_text,
     parse_timestamp,
     parse_trades,
 )
@@ -134,29 +135,23 @@ class ConfigValueError(DataError):
 
 def read_kv_config(path) -> tuple[dict[str, str], dict[str, str]]:
     """The values of a config file by key, and the ``path:line`` of each."""
-    data = Path(path).read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        before = data[:exc.start].decode("utf-8")
-        lineno = before.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
-        raise DataError(f"{path}:{lineno}: not valid UTF-8") from exc
+    with open_text(path, newline=None) as fh:       # universal newlines
+        lines = list(decoded_lines(fh, where=f"{path}:"))      # before any other error
     out: dict[str, str] = {}
     where: dict[str, str] = {}
-    with io.StringIO(text, newline=None) as fh:     # universal newlines, as open() reads
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in out:
-                raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
-            out[key] = value
-            where[key] = f"{path}:{lineno}"
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise DataError(f"{path}:{lineno}: config key {key!r} given twice")
+        out[key] = value
+        where[key] = f"{path}:{lineno}"
     return out, where
 
 
@@ -340,24 +335,19 @@ def _split_samples(samples, cfg: dict):
     (one per delivery, in delivery order) at two delivery boundaries: the
     config's ``train_end`` and ``val_end`` when it gives them, else the
     deliveries that start the validation and test fractions."""
-    from .training import FoldSpec
-
     keys = [k for k in ("train_end", "val_end") if k in cfg]
-    train_end = _get(cfg, "train_end", parse_timestamp)
-    val_end = _get(cfg, "val_end", parse_timestamp)
+    bounds = [_get(cfg, k, parse_timestamp) for k in keys]
     if len(keys) == 1:
         raise ConfigValueError(keys, "config keys train_end and val_end go together: "
                                      "give both or neither")
-    first, last = (t.replace(tzinfo=timezone.utc) for t in (datetime.min, datetime.max))
-    if train_end is None:
+    if keys:
+        starts = [s.delivery_start for s in samples]
+        i, j = (bisect_left(starts, bound) for bound in bounds)
+    else:
         keys = [k for k in ("train_frac", "val_frac") if k in cfg]
         train_frac, val_frac = _checked(_fractions, {k: _get(cfg, k, float) for k in keys})
-        n = len(samples)
-        cut = lambda k: samples[k].delivery_start if k < n else last
-        train_end, val_end = cut(int(n * train_frac)), cut(int(n * (train_frac + val_frac)))
-    fold = FoldSpec(train_range=(first, train_end), val_range=(train_end, val_end),
-                    test_range=(val_end, last))
-    train, val, test = fold.split(samples)
+        i, j = int(len(samples) * train_frac), int(len(samples) * (train_frac + val_frac))
+    train, val, test = samples[:i], samples[i:j], samples[j:]
     if not train or not val or not test:
         raise ConfigValueError(
             keys, f"degenerate split: {len(train)} train / {len(val)} val / {len(test)} test samples")
@@ -600,10 +590,10 @@ def _result_rows(path, metrics):
     """The (model, index, {metric: value}) of each row of a results CSV. A
     row needs a model, an index and a finite aql; any other metric cell
     may be empty (``_result_row`` leaves an undefined r2 so), else it must
-    be a finite number. Anything else is a data error that names
-    ``path:line``."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    be a finite number. Anything else, an undecodable line among it, is a
+    data error that names ``path:line``."""
+    with open_text(path) as fh:
+        reader = csv.DictReader(decoded_lines(fh, where=f"{path}:"))
         if reader.fieldnames is None or "model" not in reader.fieldnames:
             raise DataError(f"{path}: not a results CSV")
         for row in reader:

@@ -4,16 +4,19 @@ The trade CSV contract: header ``delivery_start,side,price,volume,
 transaction_time``, UTC timestamps as ``parse_timestamp`` reads them
 (``2024-07-23T18:00:00Z``), side ``+`` (buy) or ``-`` (sell), ``.`` decimal
 point, UTF-8, LF endings. In memory, trades are one ``Trades`` column table.
+Every text input, config files and results CSVs too, is read through
+``open_text`` and ``decoded_lines``: a line that is not UTF-8 is an error.
 
 ``parse_trades`` reads a file in blocks of about 256 KiB of lines. One
 ``np.loadtxt`` call turns a block into columns, and the contract is checked
 on whole arrays. Every line of an accepted block is five plain fields as
 ``write_trades`` writes them, with timestamps ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``.
 From the first block with any other line (a blank line, a quote, a NUL, an
-offset, another fraction length, any error) to the end of the file, the
-per-row parser reads the rows; so does a whole file whose first line is not
-exactly the header, such as one with CRLF line ends. Both paths give the
-same values, or the same error and line number, on every file.
+offset, another fraction length, a non-ASCII character, any error) to the
+end of the file, the per-row parser reads the rows; so does a whole file
+whose first line is not exactly the header, such as one with CRLF line ends.
+Both paths give the same values, or the same error and line number, on
+every file.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ import numpy as np
 
 __all__ = [
     "Trades", "MarketConfig", "Sample", "RobustScaler", "IngestReport", "ParseError",
-    "NoLabelError", "parse_trades", "write_trades", "parse_timestamp", "format_timestamp",
-    "delivery_slices", "window_vwap", "compute_index_label",
+    "NoLabelError", "open_text", "decoded_lines", "parse_trades", "write_trades",
+    "parse_timestamp", "format_timestamp", "delivery_slices", "window_vwap", "compute_index_label",
     "build_sample", "build_dataset", "fit_scaler", "apply_scaler",
 ]
 
@@ -61,7 +64,7 @@ _US = timedelta(microseconds=1)
 
 
 class ParseError(ValueError):
-    """A malformed row in a trade file; message carries the line number."""
+    """A malformed line of a text input; the message carries its number."""
 
 
 class NoLabelError(ValueError):
@@ -182,44 +185,46 @@ def format_timestamp(dt: datetime) -> str:
     return dt.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
 
+def open_text(path, newline: str | None = ""):
+    """``path`` opened for reading as every text input is: UTF-8, with each
+    undecodable byte kept as a lone surrogate for ``decoded_lines`` to find."""
+    return open(path, newline=newline, encoding="utf-8", errors="surrogateescape")
+
+
+def decoded_lines(lines, start: int = 1, where: str = "line "):
+    """The lines of an ``open_text`` file, numbered from ``start``, up to
+    the first one holding an undecodable byte, which raises the ParseError
+    ``{where}{number}: not valid UTF-8``."""
+    for lineno, line in enumerate(lines, start=start):
+        if not line.isascii() and _UNDECODED.search(line):
+            raise ParseError(f"{where}{lineno}: not valid UTF-8")
+        yield line
+
+
 def parse_trades(path) -> Trades:
     """Read a trade CSV in file order, rejecting malformed rows with their
     line number.
 
-    ``_parse_block`` turns each block of about ``_BLOCK_CHARS`` characters
-    of lines into columns. From the first block it does not accept, the
-    per-row parser ``_parse_rows`` reads the rest of the file, since a
-    quoted field may span lines and line numbers count csv records. It reads
-    a whole file whose first line is not exactly the header, and, again from
-    the start, one that is not valid UTF-8: there the first line that holds
-    an undecodable byte is a ParseError, and a bad row before it is reported
-    as it is when reading row by row.
+    The file is opened once. ``_parse_block`` turns each block of about
+    ``_BLOCK_CHARS`` characters of lines into columns. From the first block
+    it does not accept, the per-row parser ``_parse_rows`` reads the rest of
+    the file, since a quoted field may span lines and line numbers count csv
+    records; it reads a whole file whose first line is not exactly the
+    header. No block holding an undecodable byte is accepted, so the first
+    line that holds one is a ParseError where the per-row parser meets it,
+    and a bad row before it is reported first.
     """
     parts = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            first = fh.readline()
-            lines, start = [first] if first else [], 1
-            if first == _HEADER_LINE:
-                lines, start = [], 2
-                while (lines := fh.readlines(_BLOCK_CHARS)) and (block := _parse_block(lines)) is not None:
-                    parts.append(block)
-                    start += len(lines)
-            parts.append(_parse_rows(chain(lines, fh), start))
-    except UnicodeDecodeError:
-        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-            return _parse_rows(_decoded_lines(fh), 1)
+    with open_text(path) as fh:
+        first = fh.readline()
+        lines, start = [first] if first else [], 1
+        if first == _HEADER_LINE:
+            lines, start = [], 2
+            while (lines := fh.readlines(_BLOCK_CHARS)) and (block := _parse_block(lines)) is not None:
+                parts.append(block)
+                start += len(lines)
+        parts.append(_parse_rows(chain(lines, fh), start))
     return Trades.concat(parts)
-
-
-def _decoded_lines(fh):
-    """The lines of ``fh``, read with errors="surrogateescape", up to the
-    first one holding an undecodable byte, which raises a ParseError that
-    numbers it as a line of the file."""
-    for lineno, line in enumerate(fh, start=1):
-        if _UNDECODED.search(line):
-            raise ParseError(f"line {lineno}: not valid UTF-8")
-        yield line
 
 
 def _parse_block(lines: list[str]) -> Trades | None:
@@ -227,13 +232,16 @@ def _parse_block(lines: list[str]) -> Trades | None:
     plain fields that ``_parse_rows`` reads to the same values: timestamps
     ``YYYY-MM-DDTHH:MM:SS[.ffffff]Z``, side ``+`` or ``-``, finite price,
     finite positive volume, and transaction before delivery. A blank line, a
-    quote, a NUL, another offset or any error returns None."""
+    quote, a NUL or non-ASCII character, another offset or any error: None."""
+    text = "".join(lines)
+    # a NUL ends a numpy string early; an undecodable byte is the per-row parser's to report
+    if "\0" in text or not text.isascii():
+        return None
     try:
         rows = np.loadtxt(lines, delimiter=",", dtype=_ROW, comments=None, quotechar=None, ndmin=1)
     except ValueError:
         return None
-    # loadtxt skips blank lines, and a NUL ends a numpy string early
-    if len(rows) != len(lines) or "\0" in "".join(lines):
+    if len(rows) != len(lines):                 # loadtxt skips blank lines
         return None
     side, price, volume = rows["side"], rows["price"], rows["volume"]
     buy = side == b"+"
@@ -269,11 +277,11 @@ def _stamps_us(stamps: np.ndarray) -> np.ndarray | None:
 
 def _parse_rows(lines, start: int) -> Trades:
     """Parse the csv records of ``lines`` one by one, numbering them from
-    ``start``; record 1 is the header."""
+    ``start``; record 1 is the header, and an undecodable line an error."""
     columns = (array("q"), array("q"), array("b"), array("d"), array("d"))
     deliveries, times, sides, prices, volumes = columns
     delivery_us: dict[str, int] = {}    # each distinct delivery text, parsed once
-    reader = csv.reader(lines)
+    reader = csv.reader(decoded_lines(lines, start))
     if start == 1:
         header = next(reader, None)
         if header is None:

@@ -16,7 +16,7 @@ Days are simulated independently from per-day derived seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -67,6 +67,14 @@ class SynthConfig:
     session_minutes: int = 240
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        for name in ("anchor_vol", "offset_sigma", "jump_intensity_per_hour", "jump_size_mean"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.session_minutes < 1:
+            raise ValueError("session_minutes must be >= 1")
         if self.arrival_rate_per_min <= 0:
             raise ValueError("arrival_rate_per_min must be > 0")
         if not 0.0 <= self.coupling <= 1.0:

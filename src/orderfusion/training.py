@@ -65,6 +65,9 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for name in ("lr0", "decay"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------

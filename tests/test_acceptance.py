@@ -219,7 +219,7 @@ def test_criterion_2_gradient_fidelity():
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
 def test_criterion_3_masking_invariance(dtype):
-    """Mutating sentinel rows or cut-off valid rows never changes the
+    """Mutating padded rows or cut-off valid rows never changes the
     forecast, bit for bit, across 1000 trials, in float64 and in float32
     (the dtype training and scoring compute in)."""
     config = ModelConfig(hidden_dim=4, interaction_degree=2, cutoff_exponent=2, t_max=8, seed=7)

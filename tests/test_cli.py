@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import re
+import shlex
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -494,6 +495,14 @@ class TestExitCodes:
         errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
         assert errors == [f"data error: {cfg}:3: not valid UTF-8"]
 
+    def test_undecodable_result_row_is_data_error(self, tmp_path, caplog):
+        results = tmp_path / "results.csv"
+        results.write_bytes(b"model,index,aql\nm,1,1.0\nm\xff,1,2.0\nm,1,3.0\n")
+        assert dispatch(["report", "--out", str(tmp_path / "o"), str(results)]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert errors == [f"data error: {results}:3: not valid UTF-8"]
+
     @pytest.mark.parametrize("offset", ["+01:75", "+24:00"])
     def test_offset_out_of_range_is_data_error(self, tmp_path, caplog, offset):
         bad = tmp_path / "bad.csv"
@@ -545,6 +554,15 @@ class TestExitCodes:
         ("train", "train_end", "soon"), ("train", "train_end", "2024-01-03T00:00:00Z"),
         ("baseline", "val_end", "2024-01-04T00:00:00Z"),
         ("train", "hidden_dim", "abc"), ("train", "cutoff_exponent", "5"),
+        # once NumPy tracebacks or NaN prices from synth
+        ("synth", "anchor_vol", "-1"), ("synth", "offset_sigma", "-1"),
+        ("synth", "jump_size_mean", "-1"), ("synth", "jump_intensity_per_hour", "-1"),
+        ("synth", "jump_intensity_per_hour", "nan"), ("synth", "session_minutes", "-5"),
+        ("synth", "arrival_rate_per_min", "nan"), ("synth", "arrival_rate_per_min", "inf"),
+        ("synth", "base_price", "nan"), ("synth", "vol_per_hour", "nan"),
+        # once exit 3, or a learning rate that climbs the loss
+        ("train", "lr0", "nan"), ("train", "lr0", "inf"), ("baseline", "lr0", "nan"),
+        ("baseline", "lr0", "inf"), ("train", "lr0", "-1"), ("train", "decay", "-0.5"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -758,6 +776,56 @@ class TestReadmeCli:
         flags = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
                  for name, p in self.subparsers().items()}
         assert table == flags
+
+
+WORKFLOW = README.parent / ".github" / "workflows" / "tests.yml"
+
+
+def shell_commands(line: str) -> list[list[str]]:
+    """The words of each simple command of one shell line, split at ``;``,
+    ``&&``, ``||`` and ``|``."""
+    lexer = shlex.shlex(line, posix=True, punctuation_chars=True)
+    lexer.whitespace_split = True
+    commands = [[]]
+    for word in lexer:
+        if word in (";", "&&", "||", "|"):
+            commands.append([])
+        else:
+            commands[-1].append(word)
+    return [c for c in commands if c]
+
+
+class TestCiWorkflow:
+    """CI's workflow, read as plain text, against the parser and pyproject.toml."""
+
+    def test_entry_point_step_parses(self, capsys):
+        step = WORKFLOW.read_text(encoding="utf-8").split("- name: Installed entry point", 1)[1]
+        script = step.split("run: |", 1)[1].split("- name:", 1)[0]
+        lines = [line.strip() for line in script.splitlines()
+                 if line.strip() and not line.strip().startswith("#")]
+        helps, usage_errors, parsed = 0, 0, []
+        for line, after in zip(lines, lines[1:] + [""]):
+            for argv in shell_commands(line):
+                if argv[0] != "orderfusion":
+                    continue
+                if argv[1:] == ["--help"]:
+                    with pytest.raises(SystemExit) as info:
+                        cli.build_parser().parse_args(argv[1:])
+                    assert info.value.code == 0
+                    helps += 1
+                elif "|| rc=$?" in line and '"$rc" -eq 1' in after:     # must exit 1
+                    with pytest.raises(cli.UsageError):
+                        cli.build_parser().parse_args(argv[1:])
+                    usage_errors += 1
+                else:
+                    parsed.append(cli.build_parser().parse_args(argv[1:]).command)
+        assert helps == 1 and usage_errors == 1 and parsed, (helps, usage_errors, parsed)
+
+    def test_floor_leg_installs_the_declared_floor(self):
+        pyproject = (README.parent / "pyproject.toml").read_text(encoding="utf-8")
+        floor = re.search(r'"numpy>=([0-9.]+)"', pyproject)[1]
+        pins = re.findall(r'numpy: "numpy==([^"]+)"', WORKFLOW.read_text(encoding="utf-8"))
+        assert pins and set(pins) == {f"{floor}.*"}, (floor, pins)
 
 
 def config_lines(cfg: Path, keys) -> str:

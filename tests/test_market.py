@@ -411,6 +411,26 @@ class TestBlockParse:
         with pytest.raises(ParseError, match="^line 202: not valid UTF-8$"):
             parse_trades(path)
 
+    def test_undecodable_last_line_is_read_once(self, tmp_path, monkeypatch, lines):
+        """Only the block holding the byte is declined: the per-row parser
+        starts there, once, and numbers the line as the file does."""
+        path = tmp_path / "trades.csv"
+        path.write_bytes((HEADER + "".join(lines)).encode() + b"\xff\n")
+        with market.open_text(path) as fh:
+            fh.readline()
+            sizes = [len(block) for block in iter(lambda: fh.readlines(1000), [])]
+        starts, parse_rows = [], market._parse_rows
+
+        def spy(rows, start):
+            starts.append(start)
+            return parse_rows(rows, start)
+
+        monkeypatch.setattr(market, "_parse_rows", spy)
+        monkeypatch.setattr(market, "_BLOCK_CHARS", 1000)
+        with pytest.raises(ParseError, match=f"^line {len(lines) + 2}: not valid UTF-8$"):
+            parse_trades(path)
+        assert len(sizes) > 10 and starts == [2 + sum(sizes[:-1])]
+
     @pytest.mark.parametrize("place", ["first line of the file", "first line of a block",
                                        "last line of a block", "past a blank line"])
     @pytest.mark.parametrize("exotic", EXOTIC_ROWS, ids=repr)

@@ -40,13 +40,13 @@ class TestPaddingMask:
     def test_three_valid_of_eight(self):
         np.testing.assert_array_equal(mask_of([np.ones((3, 3))], 8, 3), [[0, 0, 0, 0, 0, 1, 1, 1]])
 
-    def test_all_sentinel(self):
+    def test_all_padded_rows(self):
         assert (mask_of([np.zeros((0, 3))], 8, 3) == 0).all()
 
     def test_full_side(self):
         assert (mask_of([np.ones((8, 3))], 8, 3) == 1).all()
 
-    def test_real_row_equal_to_sentinel_stays_unmasked(self):
+    def test_real_row_equal_to_padded_row_stays_unmasked(self):
         rows = np.array([[1.0, 2.0, 3.0], (0.0,) * 3])   # a real row equal to a padded one
         np.testing.assert_array_equal(mask_of([rows], 4, 2), [[0, 0, 1, 1]])
 
@@ -120,10 +120,10 @@ class TestDualMask:
         np.testing.assert_array_equal(combined * combined, combined)
         np.testing.assert_array_equal(combined.sum(axis=1), np.minimum(valid_lens, 2 ** alpha))
 
-    def test_sentinel_cell_edits_change_no_mask(self):
+    def test_padded_row_cell_edits_change_no_mask(self):
         padded, valid = pad_side([np.full((3, 3), 2.0)], 8)
         base = build_dual_mask(valid, 8, 2).combined
-        padded[0, 0, 1] = -123.0  # sentinel row, one cell mutated
+        padded[0, 0, 1] = -123.0  # padded row, one cell mutated
         np.testing.assert_array_equal(build_dual_mask(valid, 8, 2).combined, base)
 
 

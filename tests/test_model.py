@@ -295,20 +295,25 @@ def _batch_digest(batch):
     return h.hexdigest()
 
 
+# sha256 of every array encode_samples returns, per mask variant, cutoff and
+# row count; the ids leave the digest out, so a re-pin renames no test
+PINNED_ARRAYS = [
+    ("dual", 0, 6, "194141a280b720697acc92c4ac9034e05d1583771cd0e14cc174f9916297f9f0"),
+    ("dual", 2, 6, "2be2e8cc45d3768e6e3bc217d3ecc3d4158f6a4184e8e9abb89ffdb3b31ba278"),
+    ("none", 0, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
+    ("none", 2, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
+    ("random", 0, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
+    ("random", 2, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
+    ("reverse", 0, 6, "11a21cc83a00666289cfde684a06ec427cbb4f0b899564ff3c54513be3c7e221"),
+    ("reverse", 2, 6, "c8221a5e19b65bd93699416265ba59c05aa7e54b347a0657f318204fd7202d2d"),
+    ("dual", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
+    ("random", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
+]
+
+
 class TestEncodeSamples:
-    # sha256 of every array encode_samples returns, per mask variant and cutoff
-    @pytest.mark.parametrize("mask_variant, cutoff_exponent, n, expected", [
-        ("dual", 0, 6, "194141a280b720697acc92c4ac9034e05d1583771cd0e14cc174f9916297f9f0"),
-        ("dual", 2, 6, "2be2e8cc45d3768e6e3bc217d3ecc3d4158f6a4184e8e9abb89ffdb3b31ba278"),
-        ("none", 0, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
-        ("none", 2, 6, "49abb00e1cd583011fa52bf82d22086bb6afe80af623c79e56e93b48cf32160b"),
-        ("random", 0, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
-        ("random", 2, 6, "b35a984b3ed58f6ec5c3d583250056771ccd564a094a0ad2d781c9ee14dfcf34"),
-        ("reverse", 0, 6, "11a21cc83a00666289cfde684a06ec427cbb4f0b899564ff3c54513be3c7e221"),
-        ("reverse", 2, 6, "c8221a5e19b65bd93699416265ba59c05aa7e54b347a0657f318204fd7202d2d"),
-        ("dual", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
-        ("random", 2, 0, "df3d091a3789bb417887ca81d84c4380848f2d034a4298b4c052ca99efc96a53"),
-    ])
+    @pytest.mark.parametrize("mask_variant, cutoff_exponent, n, expected", PINNED_ARRAYS,
+                             ids=[f"{variant}-{alpha}-{n}" for variant, alpha, n, _ in PINNED_ARRAYS])
     def test_pinned_arrays(self, mask_variant, cutoff_exponent, n, expected):
         config = ModelConfig(t_max=8, cutoff_exponent=cutoff_exponent,
                              mask_variant=mask_variant, seed=7)
@@ -325,7 +330,7 @@ class TestForward:
         f2 = predict_batch(params, config, b.buy, b.sell, b.mask_buy, b.mask_sell)
         assert (f1.data == f2.data).all()
 
-    def test_sentinel_mutation_bit_identical(self):
+    def test_padded_row_mutation_bit_identical(self):
         rng = np.random.default_rng(47)
         config = small_config()
         params = init_params(config)
@@ -333,7 +338,7 @@ class TestForward:
         batch = encode_samples(samples, config)
         base = predict_batch(params, config, batch.buy, batch.sell, batch.mask_buy, batch.mask_sell)
         mutated = batch.buy.copy()
-        mutated[0, 0, :] = rng.normal(size=3) * 50  # a sentinel row
+        mutated[0, 0, :] = rng.normal(size=3) * 50  # a padded row
         out = predict_batch(params, config, mutated, batch.sell, batch.mask_buy, batch.mask_sell)
         assert (base.data == out.data).all()
 
