@@ -41,6 +41,7 @@ from .evaluation import evaluate_forecasts, write_plot_csv
 from .market import (
     MarketConfig,
     NoLabelError,
+    NonFiniteVwapError,
     ParseError,
     apply_scaler,
     build_dataset,
@@ -390,7 +391,14 @@ def cmd_synth(run: Run):
 
     synth_cfg = _config(SynthConfig, run.cfg)
     delta_c = _market_config(run.cfg, ("market",)).delta_c_minutes
-    trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
+    try:
+        trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
+    except (OverflowError, NonFiniteVwapError) as exc:
+        # a log-normal volume past the float range (math.exp), or a label
+        # window whose VWAP is not finite
+        raise ConfigValueError(["volume_lognorm_mu", "volume_lognorm_sigma"],
+                               f"bad config value: volume_lognorm_mu, volume_lognorm_sigma: "
+                               f"trade volumes leave the float range ({exc})") from exc
     log.info("synth: wrote %s and %s (%d empty label windows)", trades_path, labels_path, skipped)
     return [trades_path, labels_path]
 
@@ -727,8 +735,8 @@ def dispatch(argv) -> int:
         cited = ", ".join(where[k] for k in where if k in exc.keys)     # in file order
         log.error("data error: %s%s", f"{cited}: " if cited else "", exc)
         return 2
-    except (DataError, ParseError, NoLabelError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:        # an input path that names no file
+    except (DataError, ParseError, NoLabelError, NonFiniteVwapError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:    # an input path that names no file
         log.error("data error: %s", exc)
         return 2
     except FloatingPointError as exc:      # training's DivergenceError among them

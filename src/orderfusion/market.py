@@ -33,9 +33,9 @@ import numpy as np
 
 __all__ = [
     "Trades", "MarketConfig", "Sample", "RobustScaler", "IngestReport", "ParseError",
-    "NoLabelError", "open_text", "decoded_lines", "parse_trades", "write_trades",
-    "parse_timestamp", "format_timestamp", "delivery_slices", "window_vwap", "compute_index_label",
-    "build_sample", "build_dataset", "fit_scaler", "apply_scaler",
+    "NoLabelError", "NonFiniteVwapError", "open_text", "decoded_lines", "parse_trades",
+    "write_trades", "parse_timestamp", "format_timestamp", "delivery_slices", "window_vwap",
+    "compute_index_label", "build_dataset", "fit_scaler", "apply_scaler",
 ]
 
 TRADE_HEADER = ["delivery_start", "side", "price", "volume", "transaction_time"]
@@ -69,6 +69,12 @@ class ParseError(ValueError):
 
 class NoLabelError(ValueError):
     """No trade fell inside a delivery's index window."""
+
+
+class NonFiniteVwapError(ValueError):
+    """A window's volume-weighted average price is not a finite number: a
+    price × volume, or a sum of them or of the volumes, overflows (or, for
+    volumes that are not positive, the volume sum is 0)."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,16 +362,34 @@ def delivery_slices(trades: Trades) -> tuple[np.ndarray, list[Trades]]:
     return keys, [ordered[a:b] for a, b in zip(edges, edges[1:])]
 
 
+def _vwap(price_volume: list, volume: list, delivery_us: int) -> float:
+    """``fsum(price_volume) / fsum(volume)``, the one place a window's VWAP is
+    computed; ``math.fsum`` makes it independent of the trades' order. A
+    result that is not finite (a sum overflows, or is 0) raises
+    NonFiniteVwapError naming the delivery."""
+    try:
+        vwap = math.fsum(price_volume) / math.fsum(volume)
+    except (OverflowError, ValueError, ZeroDivisionError):     # overflow, inf - inf, no volume
+        vwap = math.nan
+    if not math.isfinite(vwap):
+        raise NonFiniteVwapError(
+            f"delivery {format_timestamp(Trades.from_us(delivery_us))}: the volume-weighted "
+            "average price of a window of its trades is not a finite number")
+    return vwap
+
+
 def window_vwap(trades: Trades, start: datetime, end: datetime) -> float | None:
     """Pooled volume-weighted average price of the trades with ``start <=
-    transaction time < end``, None when there are none. ``trades`` is one
-    delivery's trades in transaction-time order, as ``delivery_slices``
-    gives them; ``math.fsum`` makes the result independent of their order."""
+    transaction time < end``, None when there are none; NonFiniteVwapError
+    when it is not finite. ``trades`` is one delivery's trades in
+    transaction-time order, as ``delivery_slices`` gives them."""
     lo, hi = np.searchsorted(trades.time, [Trades.to_us(start), Trades.to_us(end)])
     if lo == hi:
         return None
-    price, volume = trades.price[lo:hi], trades.volume[lo:hi]
-    return math.fsum((price * volume).tolist()) / math.fsum(volume.tolist())
+    volume = trades.volume[lo:hi]
+    with np.errstate(over="ignore"):        # an overflow is _vwap's to report
+        price_volume = trades.price[lo:hi] * volume
+    return _vwap(price_volume.tolist(), volume.tolist(), int(trades.delivery[lo]))
 
 
 def compute_index_label(trades: Trades, delivery: datetime, cfg: MarketConfig) -> float:
@@ -379,35 +403,69 @@ def compute_index_label(trades: Trades, delivery: datetime, cfg: MarketConfig) -
     return label
 
 
-def build_sample(trades: Trades, delivery: datetime, cfg: MarketConfig) -> Sample:
-    """Assemble one delivery's paired sequences and label from its trades
-    in transaction-time order.
-
-    Feature rows take every trade strictly before the forecast time, as
-    (price, volume, minutes-to-delivery), per side in that order.
-    """
-    label = compute_index_label(trades, delivery, cfg)
-    forecast_time = delivery - timedelta(minutes=cfg.lead_minutes)
-    before = trades[:np.searchsorted(trades.time, Trades.to_us(forecast_time))]
-    minutes_to_delivery = (Trades.to_us(delivery) - before.time) / 1e6 / 60.0
-    rows = np.column_stack([before.price, before.volume, minutes_to_delivery])
-    return Sample(delivery_start=delivery, buy_matrix=rows[before.side > 0],
-                  sell_matrix=rows[before.side < 0], label=label, forecast_time=forecast_time)
-
-
 def build_dataset(trades: Trades, cfg: MarketConfig) -> tuple[list[Sample], IngestReport]:
     """One sample per distinct delivery time, in ascending ``delivery_start``
     order whatever the order of ``trades``; empty-window deliveries are
-    dropped and counted."""
-    deliveries, parts = delivery_slices(trades)
-    report = IngestReport(n_trades=len(trades), n_deliveries=len(deliveries), notes=[
+    dropped and counted.
+
+    A sample's feature rows are its delivery's trades strictly before the
+    forecast time, as (price, volume, minutes-to-delivery), per side in
+    transaction-time order, equal times in input order. Its label is the
+    VWAP of its index window, as ``compute_index_label`` gives it, and one
+    that is not finite raises NonFiniteVwapError.
+
+    The table is worked whole: one stable sort by delivery and time, then
+    each delivery's forecast cut and window end as counts of its trades
+    more than the lead and more than the gate closure offset before
+    delivery (``np.add.reduceat`` over delivery segments), and one feature
+    table per side. Only the labels' ``math.fsum`` and the ``Sample``
+    objects are made per delivery; each sample copies its rows of the
+    tables, so that no sample keeps the whole market's features alive.
+    """
+    report = IngestReport(n_trades=len(trades), notes=[
         "feature baselines available: vwap15, last_price; no exhaustive feature set in this build"])
+    if not len(trades):
+        return [], report
+    order = np.lexsort((trades.time, trades.delivery))
+    delivery = trades.delivery[order]
+    heads = np.flatnonzero(np.r_[True, delivery[1:] != delivery[:-1]])
+    report.n_deliveries = len(heads)
+    to_go = delivery - trades.time[order]          # µs before delivery, falling within one
+    minute = 60_000_000
+    before = to_go > cfg.lead_minutes * minute     # strictly before the forecast time
+    in_window = ~before & (to_go > cfg.delta_c_minutes * minute)
+
+    def table(rows: np.ndarray) -> np.ndarray:
+        """(price, volume, minutes-to-delivery) of the sorted ``rows``."""
+        picked = order[rows]
+        out = np.empty((len(rows), 3))
+        out[:, 0], out[:, 1] = trades.price[picked], trades.volume[picked]
+        out[:, 2] = to_go[rows] / 1e6 / 60.0
+        return out
+
+    def bounds(rows: np.ndarray) -> list[int]:
+        """Where each delivery's share of the ``rows`` mask starts, and the end."""
+        return np.r_[0, np.cumsum(np.add.reduceat(rows, heads, dtype=np.int64))].tolist()
+
+    buy, sell = before & (trades.side[order] > 0), before & (trades.side[order] < 0)
+    buy_rows, sell_rows = table(np.flatnonzero(buy)), table(np.flatnonzero(sell))
+    window = order[in_window]
+    with np.errstate(over="ignore"):        # an overflow is _vwap's to report
+        price_volume = (trades.price[window] * trades.volume[window]).tolist()
+    volume = trades.volume[window].tolist()
+
     samples: list[Sample] = []
-    for delivery, part in zip(deliveries.tolist(), parts):
-        try:
-            samples.append(build_sample(part, Trades.from_us(delivery), cfg))
-        except NoLabelError:
+    lead = timedelta(minutes=cfg.lead_minutes)
+    b, s, w = bounds(buy), bounds(sell), bounds(in_window)
+    for i, delivery_us in enumerate(delivery[heads].tolist()):
+        if w[i] == w[i + 1]:
             report.n_dropped_empty_window += 1
+            continue
+        label = _vwap(price_volume[w[i]:w[i + 1]], volume[w[i]:w[i + 1]], delivery_us)
+        start = Trades.from_us(delivery_us)
+        samples.append(Sample(delivery_start=start, buy_matrix=buy_rows[b[i]:b[i + 1]].copy(),
+                              sell_matrix=sell_rows[s[i]:s[i + 1]].copy(), label=label,
+                              forecast_time=start - lead))
     report.n_samples = len(samples)
     return samples, report
 

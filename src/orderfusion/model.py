@@ -6,7 +6,10 @@ configured number of interaction degrees, aggregate the per-degree
 representations, pool over time, and emit multiple quantiles through a
 non-crossing hierarchical head. Every intermediate row representation is
 multiplied by that side's combined mask, so padded or cut-off rows stay
-exactly zero.
+exactly zero. ``predict_batch`` repeats each side's (n, t, 1) mask to the
+(n, t, H) shape of those representations once per batch, so that every
+mask multiply runs on two contiguous arrays of one shape: the products are
+those of the broadcast, bit for bit, without a broadcast's per-row cost.
 
 Rows that are zero in every sample of a batch on both sides are not
 computed at all. ``predict_batch`` trims the leading run of such rows (under
@@ -166,17 +169,49 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Ordered, uniquely named parameter set."""
+    """Ordered, uniquely named parameter set.
+
+    The values of all parameters live in one flat buffer and their
+    gradients in another, in parameter order; each parameter's value and
+    gradient are views into them. So ``zero_grad`` is one fill, an
+    optimizer can step every parameter with one array op per formula
+    (``data``, ``grad``), and ``state_arrays`` is one copy. ``add``
+    rebuilds both buffers, so it is for building the set, not for a set in
+    training.
+    """
 
     def __init__(self):
         self._params: dict[str, T.Parameter] = {}
+        self.data = np.zeros(0)
+        self.grad = np.zeros(0)
 
     def add(self, name: str, values) -> T.Parameter:
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         p = T.Parameter(name, values)
         self._params[name] = p
+        self._bind(np.concatenate([q.value.data.ravel() for q in self]),
+                   np.concatenate([q.value.grad.ravel() for q in self]))
         return p
+
+    def _bind(self, data: np.ndarray, grad: np.ndarray) -> None:
+        """Make ``data`` and ``grad`` the flat buffers, and each parameter's
+        value and gradient the views of its span of them."""
+        self.data, self.grad = data, grad
+        values, grads = self.views(data), self.views(grad)
+        for name, p in self._params.items():
+            p.value.data, p.value.grad = values[name], grads[name]
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter's span of ``flat``, a buffer laid out as ``data``,
+        as a view of the parameter's shape."""
+        out, start = {}, 0
+        for name, p in self._params.items():
+            shape = p.value.data.shape
+            stop = start + p.value.data.size
+            out[name] = flat[start:stop].reshape(shape)
+            start = stop
+        return out
 
     def __getitem__(self, name: str) -> T.Parameter:
         return self._params[name]
@@ -198,22 +233,24 @@ class ModelParams:
         return sum(p.value.data.size for p in self)
 
     def zero_grad(self) -> None:
-        for p in self:
-            p.zero_grad()
+        self.grad.fill(0.0)
 
     def astype(self, dtype) -> "ModelParams":
         """A new set holding these values in ``dtype``, with zero gradients;
-        an array already in ``dtype`` is shared, not copied."""
+        the value buffer is shared, not copied, when it is already in ``dtype``."""
         out = ModelParams()
-        for name, p in self._params.items():
-            out.add(name, p.value.data.astype(dtype, copy=False))
+        data = self.data.astype(dtype, copy=False)
+        for name, values in self.views(data).items():
+            out._params[name] = T.Parameter(name, values)
+        out._bind(data, np.zeros_like(data))
         return out
 
     def frozen(self, dtype=None) -> "ModelParams":
         """The arrays behind constant tensors: a forward pass over the view
         records no graph and keeps no backward closure. With ``dtype`` each
         array is cast to it; an array already in that dtype, or every array
-        when ``dtype`` is None, is shared, not copied."""
+        when ``dtype`` is None, is shared, not copied. The view has no flat
+        buffers of its own: it is for forward passes only."""
         view = ModelParams()
         for name, p in self._params.items():
             values = p.value.data if dtype is None else p.value.data.astype(dtype, copy=False)
@@ -223,17 +260,18 @@ class ModelParams:
         return view
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.value.data.copy() for name, p in self._params.items()}
+        """A copy of every value, as views of one copy of ``data``."""
+        return self.views(self.data.copy())
 
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if set(arrays) != set(self._params):
             missing = set(self._params) ^ set(arrays)
             raise ValueError(f"parameter name mismatch: {sorted(missing)}")
-        for name, arr in arrays.items():
-            p = self._params[name]
-            if p.value.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {p.value.data.shape} vs {arr.shape}")
-            p.value.data = np.array(arr, dtype=p.value.data.dtype)
+        for name, p in self._params.items():
+            if p.value.data.shape != arrays[name].shape:
+                raise ValueError(f"shape mismatch for {name}: {p.value.data.shape} vs "
+                                 f"{arrays[name].shape}")
+        np.concatenate([np.ravel(arrays[name]) for name in self._params], out=self.data)
 
 
 def _head_name(tau: float) -> str:
@@ -502,8 +540,8 @@ def predict_batch(
     lead = _dead_lead(mask_buy, mask_sell)
     tb = T.constant(buy[:, lead:])
     ts = T.constant(sell[:, lead:])
-    mb = _mask_node(mask_buy[:, lead:])
-    ms = _mask_node(mask_sell[:, lead:])
+    mb = _mask_node(mask_buy[:, lead:], config.hidden_dim)
+    ms = _mask_node(mask_sell[:, lead:], config.hidden_dim)
     project = lambda side, rows, mask: input_project(
         rows, params[f"proj.{side}.w"].value, params[f"proj.{side}.b"].value, mask)
     if config.interaction_degree == 0:
@@ -566,10 +604,15 @@ def score_batch(params: ModelParams, config: ModelConfig, batch: EncodedBatch) -
     ]).astype(np.float64)
 
 
-def _mask_node(mask: np.ndarray) -> T.Tensor | None:
-    """``mask`` as a constant, or None where it is 1 everywhere (not merely
-    non-zero: the random variant holds other values)."""
-    return None if (mask == 1).all() else T.constant(mask)
+def _mask_node(mask: np.ndarray, width: int) -> T.Tensor | None:
+    """A (n, t, 1) ``mask`` repeated to (n, t, ``width``) as a constant, or
+    None where it is 1 everywhere (not merely non-zero: the random variant
+    holds other values). The repeat is made once per batch, so each mask
+    multiply runs on two contiguous operands of one shape, with the same
+    products as the broadcast."""
+    if (mask == 1).all():
+        return None
+    return T.constant(np.broadcast_to(mask, mask.shape[:-1] + (width,)).copy())
 
 
 def _dead_lead(mask_buy: np.ndarray, mask_sell: np.ndarray) -> int:

@@ -83,6 +83,12 @@ class SynthConfig:
             raise ValueError("vol_hour_amplitude must lie in [0, 1)")
         if self.n_days < 1:
             raise ValueError("n_days must be >= 1")
+        try:       # the first session opens before start; the last delivery is within n_days
+            self.start - timedelta(minutes=self.session_minutes)
+            self.start + timedelta(days=self.n_days)
+        except OverflowError:
+            raise ValueError(f"start {self.start.date()}, session_minutes {self.session_minutes} "
+                             f"and n_days {self.n_days} leave the years 1 to 9999") from None
 
 
 @dataclass(frozen=True)

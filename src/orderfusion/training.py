@@ -98,35 +98,47 @@ def aql_loss(pred: T.Tensor, y: T.Tensor, quantiles) -> T.Tensor:
 
 @dataclass
 class OptimizerState:
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    """Adam's step count and moments. Each moment is one flat buffer laid out
+    as the parameter set's ``data``; ``first_moment[name]`` and
+    ``second_moment[name]`` are one parameter's views of them."""
+
+    first: np.ndarray
+    second: np.ndarray
+    first_moment: dict = field(repr=False)
+    second_moment: dict = field(repr=False)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        return cls(
-            first_moment={p.name: np.zeros_like(p.value.data) for p in params},
-            second_moment={p.name: np.zeros_like(p.value.data) for p in params},
-            step=0,
-        )
+        first, second = np.zeros_like(params.data), np.zeros_like(params.data)
+        return cls(first, second, params.views(first), params.views(second))
 
 
 def adam_step(params: ModelParams, state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
-    """One bias-corrected Adam update from the gradients currently held."""
+    """One bias-corrected Adam update from the gradients currently held.
+
+    It runs once over the flat buffers, in two scratch arrays:
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + ((1 - b2) g) g`` and
+    ``p -= (lr m_hat) / (sqrt(v_hat) + eps)``, each product and quotient
+    taken in that order. Every step is elementwise, so the result is the
+    per-parameter update's, bit for bit."""
     state.step += 1
     t = state.step
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for p in params:
-        g = p.value.grad
-        m = state.first_moment[p.name]
-        v = state.second_moment[p.name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p.value.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    g, m, v = params.grad, state.first, state.second
+    update, scratch = np.multiply(g, 1.0 - b1), np.multiply(g, 1.0 - b2)
+    m *= b1
+    m += update
+    v *= b2
+    scratch *= g
+    v += scratch
+    np.divide(m, 1.0 - b1 ** t, out=update)          # m_hat
+    np.divide(v, 1.0 - b2 ** t, out=scratch)         # v_hat
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPSILON
+    update *= lr
+    update /= scratch
+    params.data -= update
 
 
 def lr_at(epoch: int, cfg: TrainConfig) -> float:

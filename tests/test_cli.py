@@ -563,6 +563,10 @@ class TestExitCodes:
         # once exit 3, or a learning rate that climbs the loss
         ("train", "lr0", "nan"), ("train", "lr0", "inf"), ("baseline", "lr0", "nan"),
         ("baseline", "lr0", "inf"), ("train", "lr0", "-1"), ("train", "decay", "-0.5"),
+        # once OverflowError tracebacks: a volume past the float range, a label
+        # window's price × volume sum past it, and sessions past the years 1-9999
+        ("synth", "volume_lognorm_mu", "800"), ("synth", "volume_lognorm_mu", "706"),
+        ("synth", "start", "9999-12-31T00:00:00Z"), ("synth", "start", "0001-01-01T00:00:00Z"),
     ])
     def test_bad_config_value_is_data_error(self, workspace, tmp_path, caplog, command, key, value):
         cfg = tmp_path / "bad.cfg"
@@ -579,6 +583,29 @@ class TestExitCodes:
         cited = [key] + (["t_max"] if key in ("cutoff_exponent", "grid_cutoff_exponent") else [])
         assert len(errors) == 1 and key in errors[0], errors
         assert errors[0].startswith(f"data error: {config_lines(cfg, cited)}: "), errors
+
+    @pytest.mark.parametrize("command, minutes", [("ingest", 45), ("train", 45), ("baseline", 70)],
+                             ids=["ingest", "train", "baseline_vwap15"])
+    @pytest.mark.parametrize("trades", [[(100.0, 1e306), (100.0, 1e306)], [(1e300, 1e300)]],
+                             ids=["window_sum_overflows", "price_volume_overflows"])
+    def test_overflowing_window_is_data_error(self, workspace, tmp_path, caplog, command,
+                                              minutes, trades):
+        # contract-valid trades whose VWAP is not finite: once an fsum
+        # OverflowError traceback, or an infinite label. 45 minutes before
+        # delivery is in the index window; 70, in vwap15's feature window.
+        data = tmp_path / "trades.csv"
+        text = (workspace / "data" / "trades.csv").read_text()
+        delivery = text.splitlines()[1].split(",", 1)[0]
+        at = cli.parse_timestamp(delivery) - timedelta(minutes=minutes)
+        data.write_text(text + "".join(f"{delivery},+,{price!r},{volume!r},"
+                                       f"{at.strftime('%Y-%m-%dT%H:%M:%SZ')}\n"
+                                       for price, volume in trades))
+        argv = [command, "--config", str(workspace / "run.cfg"), "--data", str(data),
+                "--out", str(tmp_path / "o")]
+        assert dispatch(argv + (["--variant", "vwap15"] if command == "baseline" else [])) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].startswith(f"data error: delivery {delivery}: "), errors
 
     @pytest.mark.parametrize("command", ["train", "baseline"])
     @pytest.mark.parametrize("train_frac, val_frac, cited", [

@@ -17,7 +17,6 @@ from orderfusion.market import (
     _format_times,
     apply_scaler,
     build_dataset,
-    build_sample,
     compute_index_label,
     delivery_slices,
     fit_scaler,
@@ -550,7 +549,7 @@ class TestBuildSample:
 
     def test_single_buy_trade(self):
         trades = [trade(90, price=70.0), trade(45, price=50.0)]  # second one labels the window
-        s = build_sample(table(trades), DELIVERY, self.CFG)
+        [s], _ = build_dataset(table(trades), self.CFG)
         assert s.buy_matrix.shape == (1, 3)
         assert s.buy_matrix[0, 2] == pytest.approx(90.0)
         assert s.label == 50.0
@@ -558,7 +557,7 @@ class TestBuildSample:
     def test_trade_at_forecast_time_excluded(self):
         at_boundary = trade(60, price=99.0)
         in_window = trade(45, price=50.0)
-        s = build_sample(table([at_boundary, in_window]), DELIVERY, self.CFG)
+        [s], _ = build_dataset(table([at_boundary, in_window]), self.CFG)
         assert s.buy_matrix.shape == (0, 3)
 
     def test_rows_time_ascending_and_lead_invariant(self):
@@ -567,7 +566,7 @@ class TestBuildSample:
             trade(float(rng.uniform(0, 300)), side=BUY if rng.random() < 0.5 else SELL)
             for _ in range(300)
         ]
-        s = build_sample(table(trades), DELIVERY, self.CFG)
+        [s], _ = build_dataset(table(trades), self.CFG)
         for matrix in (s.buy_matrix, s.sell_matrix):
             deltas = matrix[:, 2]
             assert (deltas > self.CFG.lead_minutes).all()
@@ -579,7 +578,7 @@ class TestBuildSample:
             trade(float(rng.uniform(0, 300)), side=BUY if rng.random() < 0.4 else SELL)
             for _ in range(500)
         ]
-        s = build_sample(table(trades), DELIVERY, self.CFG)
+        [s], _ = build_dataset(table(trades), self.CFG)
         t_f = DELIVERY - timedelta(minutes=60)
         n_buy = sum(1 for t in trades if t[1] == BUY and t[4] < t_f)
         n_sell = sum(1 for t in trades if t[1] == SELL and t[4] < t_f)
@@ -686,7 +685,7 @@ class TestScaling:
                       side=BUY if rng.random() < 0.5 else SELL)
                 for _ in range(20)
             ] + [trade(40, price=float(rng.normal(80, 15)), delivery=delivery)]
-            samples.append(build_sample(table(trades), delivery, MarketConfig(1, 30)))
+            samples += build_dataset(table(trades), MarketConfig(1, 30))[0]
         feat, lab = fit_scaler(samples)
         scaled = [apply_scaler(s, feat, lab) for s in samples]
         pooled = np.vstack([m for s in scaled for m in (s.buy_matrix, s.sell_matrix)])

@@ -188,26 +188,57 @@ class TestSoftmax:
         np.divide(s, denom, out=s)
         return s
 
+    # Row lengths on both sides of softmax_rows' short-row path (up to 31)
+    # and of the pairwise sum's blocks of 8 and 128.
+    ROW_LENGTHS = [1, 7, 8, 9, 16, 17, 32, 33, 64, 128, 129, 300]
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("lead", [0, 1, 7])
     @pytest.mark.parametrize("scale", [1.0, 0.125])
-    def test_row_max_is_bitwise_max_then_clamp(self, dtype, lead, scale):
+    def test_row_max_is_bitwise_max_then_clamp(self, dtype, lead, scale, n):
         rng = np.random.default_rng(41)
-        x = rng.normal(scale=4.0, size=(6, 9, 16)).astype(dtype)
-        x[0, 0, 3], x[0, 1, 0], x[0, 2, 15] = np.inf, -np.inf, np.nan
+        x = rng.normal(scale=4.0, size=(6, 9, n)).astype(dtype)
+        x[0, 0, min(3, n - 1)], x[0, 1, 0], x[0, 2, n - 1] = np.inf, -np.inf, np.nan
         x[0, 3] = np.inf                        # rows of one value throughout
         x[0, 4] = -np.inf
         x[0, 5] = np.nan
         x[0, 6, ::2], x[0, 6, 1::2] = np.inf, -np.inf
         x[1, :4] = -0.0                         # a max of -0.0 against the clamp's 0.0
-        x[1, 4, 5] = 0.0
+        x[1, 4, min(5, n - 1)] = 0.0
         x[1, 5:] = -np.abs(x[1, 5:]) - 0.5      # all negative: the clamp decides the max
         x[2] = -np.abs(x[2]) - 1000.0           # exp(-rowmax) overflows under the clamp
         x[3] = np.abs(x[3])
-        x[4, :, :15] = -0.0
+        x[4, :, :n - 1] = -0.0
         with np.errstate(all="ignore"):
             got = T.softmax_rows(T.constant(x), scale, lead).data
             want = self._max_then_clamp(x, scale, lead)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", ROW_LENGTHS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_inner_product_is_bitwise_row_sum(self, dtype, n):
+        """The backward pass's <g, s> is NumPy's row sum, bit for bit, on
+        either path: rows of -0.0 products, of mixed zeros, and with inf and
+        nan terms."""
+        rng = np.random.default_rng(43)
+        x = rng.normal(scale=4.0, size=(6, 9, n)).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        g[0] = -0.0
+        g[1, :, ::2] = 0.0
+        g[1, :, 1::2] = -0.0
+        g[2, 0, 0], g[2, 1, n - 1], g[2, 2, n // 2] = np.inf, -np.inf, np.nan
+        g[3] = -np.abs(g[3]) * 1e30
+        out = T.softmax_rows(T.Tensor(x, requires_grad=True), 0.5, 2)
+        with np.errstate(all="ignore"):
+            (got,) = out._node.backward_fn(g)
+            s = out.data
+            want = np.multiply(g, s)
+            inner = want.sum(axis=-1, keepdims=True)
+            np.subtract(g, inner, out=want)
+            np.multiply(want, s, out=want)
+            np.multiply(want, 0.5, out=want)
         assert got.dtype == want.dtype == dtype
         assert got.tobytes() == want.tobytes()
 

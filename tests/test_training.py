@@ -182,6 +182,38 @@ class TestAdam:
         values.append(T.sum_all(params["w"].value * params["w"].value).item())
         assert all(b < a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_is_the_per_parameter_loop(self, dtype):
+        """Five steps on the flat buffers give the weights and moments of a
+        per-parameter loop, bit for bit."""
+        b1, b2, eps = training.ADAM_BETA1, training.ADAM_BETA2, training.ADAM_EPSILON
+        params = init_params(ModelConfig(hidden_dim=8, interaction_degree=2, seed=3)).astype(dtype)
+        state = OptimizerState.for_params(params)
+        weights = {p.name: p.value.data.copy() for p in params}
+        first = {name: np.zeros_like(w) for name, w in weights.items()}
+        second = {name: np.zeros_like(w) for name, w in weights.items()}
+        rng = np.random.default_rng(17)
+        for t in range(1, 6):
+            lr = 1e-3 * t
+            params.zero_grad()
+            for p in params:
+                p.value.grad[...] = rng.normal(scale=10.0 ** -t, size=p.grad.shape)
+            adam_step(params, state, lr, TrainConfig())
+            for p in params:
+                g, m, v = p.grad, first[p.name], second[p.name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * g * g
+                m_hat = m / (1.0 - b1 ** t)
+                v_hat = v / (1.0 - b2 ** t)
+                weights[p.name] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for p in params:
+                assert p.value.data.dtype == dtype
+                assert p.value.data.tobytes() == weights[p.name].tobytes(), (t, p.name)
+                assert state.first_moment[p.name].tobytes() == first[p.name].tobytes()
+                assert state.second_moment[p.name].tobytes() == second[p.name].tobytes()
+
 
 class TestLrSchedule:
     def test_epoch_zero(self):
