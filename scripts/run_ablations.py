@@ -15,11 +15,12 @@ from pathlib import Path
 
 from orderfusion.cli import ABLATION_VARIANTS, dispatch
 
+# interaction_degree stays at the model default, 2: at 1 the k1 and
+# no_residual arms would repeat the dual_mask arm bit for bit.
 RUN_CONFIG = """\
 market = DE
 index = 1
 hidden_dim = 8
-interaction_degree = 1
 cutoff_exponent = 4
 t_max = 32
 epochs = {epochs}

@@ -242,15 +242,16 @@ class MLPModel:
         self.n_features = n_features
         self.quantiles = tuple(quantiles)
         self.cfg = cfg
-        self.params = ModelParams()
         rng = np.random.default_rng(np.random.SeedSequence([seed, _MLP_INIT_STREAM]))
+        arrays = {}
         width_in = n_features
         for layer in range(cfg.n_layers):
-            self.params.add(f"layer{layer}.w", _glorot(rng, width_in, cfg.hidden_size))
-            self.params.add(f"layer{layer}.b", np.zeros((1, cfg.hidden_size)))
+            arrays[f"layer{layer}.w"] = _glorot(rng, width_in, cfg.hidden_size)
+            arrays[f"layer{layer}.b"] = np.zeros((1, cfg.hidden_size))
             width_in = cfg.hidden_size
-        self.params.add("out.w", _glorot(rng, width_in, len(self.quantiles)))
-        self.params.add("out.b", np.zeros((1, len(self.quantiles))))
+        arrays["out.w"] = _glorot(rng, width_in, len(self.quantiles))
+        arrays["out.b"] = np.zeros((1, len(self.quantiles)))
+        self.params = ModelParams(arrays)
 
     def forward(self, x: np.ndarray, dropout_rng: np.random.Generator | None = None) -> T.Tensor:
         x = np.asarray(x, dtype=np.float64)

@@ -387,15 +387,15 @@ def _result_row(model, fold, index, report, best_of_pair=""):
 
 
 def cmd_synth(run: Run):
-    from .synth import SynthConfig, write_market
+    from .synth import SynthConfig, VolumeRangeError, write_market
 
     synth_cfg = _config(SynthConfig, run.cfg)
     delta_c = _market_config(run.cfg, ("market",)).delta_c_minutes
     try:
         trades_path, labels_path, skipped = write_market(synth_cfg, run.out, delta_c)
-    except (OverflowError, NonFiniteVwapError) as exc:
-        # a log-normal volume past the float range (math.exp), or a label
-        # window whose VWAP is not finite
+    except (VolumeRangeError, NonFiniteVwapError) as exc:
+        # a log-normal volume past the float range or rounded to 0, or a
+        # label window whose VWAP is not finite
         raise ConfigValueError(["volume_lognorm_mu", "volume_lognorm_sigma"],
                                f"bad config value: volume_lognorm_mu, volume_lognorm_sigma: "
                                f"trade volumes leave the float range ({exc})") from exc

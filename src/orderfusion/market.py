@@ -504,8 +504,14 @@ class RobustScaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RobustScaler":
-        return cls(np.array(d["medians"], dtype=np.float64),
-                   np.array(d["iqrs"], dtype=np.float64), int(d["n_fit"]))
+        """The scaler ``to_dict`` wrote; a median or IQR that ``fit`` never
+        makes (not finite, or an IQR <= 0) is a ValueError."""
+        medians = np.array(d["medians"], dtype=np.float64)
+        iqrs = np.array(d["iqrs"], dtype=np.float64)
+        if not (np.isfinite(medians).all() and np.isfinite(iqrs).all() and (iqrs > 0).all()):
+            raise ValueError(f"scaler medians {medians.tolist()} and IQRs {iqrs.tolist()} must "
+                             "be finite, and the IQRs > 0")
+        return cls(medians, iqrs, int(d["n_fit"]))
 
 
 def fit_scaler(train: list[Sample]) -> tuple[RobustScaler, RobustScaler]:

@@ -169,46 +169,31 @@ class ModelConfig:
 
 
 class ModelParams:
-    """Ordered, uniquely named parameter set.
+    """Named parameters over two flat buffers.
 
-    The values of all parameters live in one flat buffer and their
-    gradients in another, in parameter order; each parameter's value and
-    gradient are views into them. So ``zero_grad`` is one fill, an
-    optimizer can step every parameter with one array op per formula
-    (``data``, ``grad``), and ``state_arrays`` is one copy. ``add``
-    rebuilds both buffers, so it is for building the set, not for a set in
-    training.
-    """
+    ``ModelParams(arrays)`` copies an ordered name -> array mapping, in
+    order, into one value buffer, ``data``, and makes a zero gradient
+    buffer of that layout, ``grad``; each parameter's value and gradient
+    are views of its span of them. So ``zero_grad`` is one fill, Adam
+    steps with one array op per formula, and ``data.copy()`` snapshots
+    every weight. The buffers are float32 when every array is, else
+    float64, as the tensor engine casts."""
 
-    def __init__(self):
-        self._params: dict[str, T.Parameter] = {}
-        self.data = np.zeros(0)
-        self.grad = np.zeros(0)
-
-    def add(self, name: str, values) -> T.Parameter:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        p = T.Parameter(name, values)
-        self._params[name] = p
-        self._bind(np.concatenate([q.value.data.ravel() for q in self]),
-                   np.concatenate([q.value.grad.ravel() for q in self]))
-        return p
-
-    def _bind(self, data: np.ndarray, grad: np.ndarray) -> None:
-        """Make ``data`` and ``grad`` the flat buffers, and each parameter's
-        value and gradient the views of its span of them."""
-        self.data, self.grad = data, grad
-        values, grads = self.views(data), self.views(grad)
-        for name, p in self._params.items():
-            p.value.data, p.value.grad = values[name], grads[name]
+    def __init__(self, arrays):
+        values = {name: T.constant(a).data for name, a in arrays.items()}
+        self._shapes = {name: v.shape for name, v in values.items()}
+        self.data = np.concatenate([v.ravel() for v in values.values()])
+        self.grad = np.zeros_like(self.data)
+        self._params = {name: T.Parameter(name, v) for name, v in self.views(self.data).items()}
+        for p, grad in zip(self, self.views(self.grad).values()):
+            p.value.grad = grad
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter's span of ``flat``, a buffer laid out as ``data``,
         as a view of the parameter's shape."""
         out, start = {}, 0
-        for name, p in self._params.items():
-            shape = p.value.data.shape
-            stop = start + p.value.data.size
+        for name, shape in self._shapes.items():
+            stop = start + math.prod(shape)
             out[name] = flat[start:stop].reshape(shape)
             start = stop
         return out
@@ -236,14 +221,8 @@ class ModelParams:
         self.grad.fill(0.0)
 
     def astype(self, dtype) -> "ModelParams":
-        """A new set holding these values in ``dtype``, with zero gradients;
-        the value buffer is shared, not copied, when it is already in ``dtype``."""
-        out = ModelParams()
-        data = self.data.astype(dtype, copy=False)
-        for name, values in self.views(data).items():
-            out._params[name] = T.Parameter(name, values)
-        out._bind(data, np.zeros_like(data))
-        return out
+        """A new set holding these values in ``dtype``, with zero gradients."""
+        return ModelParams(self.views(self.data.astype(dtype, copy=False)))
 
     def frozen(self, dtype=None) -> "ModelParams":
         """The arrays behind constant tensors: a forward pass over the view
@@ -251,27 +230,14 @@ class ModelParams:
         array is cast to it; an array already in that dtype, or every array
         when ``dtype`` is None, is shared, not copied. The view has no flat
         buffers of its own: it is for forward passes only."""
-        view = ModelParams()
+        view = ModelParams.__new__(ModelParams)
+        view._params = {}
         for name, p in self._params.items():
             values = p.value.data if dtype is None else p.value.data.astype(dtype, copy=False)
             const = T.Parameter.__new__(T.Parameter)
             const.name, const.value = name, T.constant(values)
             view._params[name] = const
         return view
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        """A copy of every value, as views of one copy of ``data``."""
-        return self.views(self.data.copy())
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        if set(arrays) != set(self._params):
-            missing = set(self._params) ^ set(arrays)
-            raise ValueError(f"parameter name mismatch: {sorted(missing)}")
-        for name, p in self._params.items():
-            if p.value.data.shape != arrays[name].shape:
-                raise ValueError(f"shape mismatch for {name}: {p.value.data.shape} vs "
-                                 f"{arrays[name].shape}")
-        np.concatenate([np.ravel(arrays[name]) for name in self._params], out=self.data)
 
 
 def _head_name(tau: float) -> str:
@@ -287,21 +253,21 @@ def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
 def init_params(config: ModelConfig) -> ModelParams:
     """Create all weights, Glorot-uniform from the config seed; biases 0."""
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _INIT_STREAM]))
-    params = ModelParams()
+    arrays = {}
     dim = config.hidden_dim
     for side in ("buy", "sell"):
-        params.add(f"proj.{side}.w", _glorot(rng, 3, dim))
-        params.add(f"proj.{side}.b", np.zeros((1, dim)))
+        arrays[f"proj.{side}.w"] = _glorot(rng, 3, dim)
+        arrays[f"proj.{side}.b"] = np.zeros((1, dim))
     for k in range(1, config.interaction_degree + 1):
         for side in ("buy", "sell"):
-            params.add(f"fuse{k}.{side}.wq", _glorot(rng, dim, dim))
-            params.add(f"fuse{k}.{side}.wk", _glorot(rng, dim, dim))
-            params.add(f"fuse{k}.{side}.wv", _glorot(rng, dim, dim))
+            arrays[f"fuse{k}.{side}.wq"] = _glorot(rng, dim, dim)
+            arrays[f"fuse{k}.{side}.wk"] = _glorot(rng, dim, dim)
+            arrays[f"fuse{k}.{side}.wv"] = _glorot(rng, dim, dim)
     width = config.head_width
     for tau in config.head_quantiles:
-        params.add(f"{_head_name(tau)}.w", _glorot(rng, width, 1))
-        params.add(f"{_head_name(tau)}.b", np.zeros((1, 1)))
-    return params
+        arrays[f"{_head_name(tau)}.w"] = _glorot(rng, width, 1)
+        arrays[f"{_head_name(tau)}.b"] = np.zeros((1, 1))
+    return ModelParams(arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +615,7 @@ def save_checkpoint(
         "label_scaler": label_scaler.to_dict(),
         "params": {
             name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in params.state_arrays().items()
+            for name, arr in params.views(params.data).items()
         },
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -662,7 +628,8 @@ def load_checkpoint(path):
     label_scaler, market), ``market`` the :class:`MarketConfig` it was
     trained on. A missing or malformed market is a ValueError: one that is
     not an object, a field that is not an int, or values ``MarketConfig``
-    rejects."""
+    rejects. So are weights whose names or shapes differ from those
+    ``init_params(config)`` makes, and a weight that is not finite."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     magic = payload.get("magic") if isinstance(payload, dict) else None
@@ -675,14 +642,18 @@ def load_checkpoint(path):
                          "delta_c_minutes")
     market = MarketConfig(index_x=market["index"], delta_c_minutes=market["delta_c_minutes"])
     config = ModelConfig.from_dict(payload["config"])
-    params = init_params(config)
-    params.load_arrays({
-        name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        for name, entry in payload["params"].items()
-    })
+    layout = {p.name: p.value.shape for p in init_params(config)}
+    arrays = {name: np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+              for name, entry in payload["params"].items()}
+    stray = {(name, a.shape) for name, a in arrays.items()} ^ set(layout.items())
+    if stray:
+        raise ValueError(f"weights (name, shape) off the config's layout: {sorted(stray)}")
+    bad = [name for name, a in arrays.items() if not np.isfinite(a).all()]
+    if bad:
+        raise ValueError(f"non-finite weights in {bad}")
     return (
         config,
-        params,
+        ModelParams({name: arrays[name] for name in layout}),
         RobustScaler.from_dict(payload["feature_scaler"]),
         RobustScaler.from_dict(payload["label_scaler"]),
         market,

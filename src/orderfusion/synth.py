@@ -34,6 +34,7 @@ from .market import (
 __all__ = [
     "SynthConfig",
     "LabelRow",
+    "VolumeRangeError",
     "simulate_delivery",
     "gen_market",
     "write_market",
@@ -89,6 +90,11 @@ class SynthConfig:
         except OverflowError:
             raise ValueError(f"start {self.start.date()}, session_minutes {self.session_minutes} "
                              f"and n_days {self.n_days} leave the years 1 to 9999") from None
+
+
+class VolumeRangeError(ValueError):
+    """A log-normal trade volume past the largest float or rounded to 0,
+    where a trade volume must be finite and > 0."""
 
 
 @dataclass(frozen=True)
@@ -175,9 +181,14 @@ def simulate_delivery(
         last_price[s] = price
         prices.append(price)
     time = Trades.to_us(delivery - timedelta(minutes=cfg.session_minutes)) + _minutes_to_us(t[trade])
-    volume = [math.exp(v) for v in log_volume.tolist()]    # libm exp, as numpy's lognormal
+    try:        # libm exp, as numpy's lognormal
+        volume = np.array([math.exp(v) for v in log_volume.tolist()])
+    except OverflowError as exc:
+        raise VolumeRangeError(f"a trade volume past the largest float ({exc})") from None
+    if not volume.all():
+        raise VolumeRangeError("a trade volume rounds to 0")
     trades = Trades(np.full(len(side), Trades.to_us(delivery), dtype=np.int64), time, side,
-                    np.array(prices, dtype=np.float64), np.array(volume, dtype=np.float64))
+                    np.array(prices, dtype=np.float64), volume)
     return trades, (list(zip(side.tolist(), prices, mid.tolist())) if collect_mid else None)
 
 

@@ -148,9 +148,6 @@ class Parameter:
     def grad(self) -> np.ndarray:
         return self.value.grad
 
-    def zero_grad(self) -> None:
-        self.value.zero_grad()
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
@@ -99,19 +99,16 @@ def aql_loss(pred: T.Tensor, y: T.Tensor, quantiles) -> T.Tensor:
 @dataclass
 class OptimizerState:
     """Adam's step count and moments. Each moment is one flat buffer laid out
-    as the parameter set's ``data``; ``first_moment[name]`` and
-    ``second_moment[name]`` are one parameter's views of them."""
+    as the parameter set's ``data``; ``params.views(state.first)`` gives one
+    parameter's span of it by name."""
 
     first: np.ndarray
     second: np.ndarray
-    first_moment: dict = field(repr=False)
-    second_moment: dict = field(repr=False)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "OptimizerState":
-        first, second = np.zeros_like(params.data), np.zeros_like(params.data)
-        return cls(first, second, params.views(first), params.views(second))
+        return cls(np.zeros_like(params.data), np.zeros_like(params.data))
 
 
 def adam_step(params: ModelParams, state: OptimizerState, lr: float, cfg: TrainConfig) -> None:
@@ -188,7 +185,7 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
     minibatch of one slice runs as one pass, with no weighting."""
     state = OptimizerState.for_params(params)
     history: list[EpochStats] = []
-    best_epoch, best_arrays = -1, None
+    best_epoch, best_data = -1, None
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, stream, epoch]))
         order = rng.permutation(n)
@@ -215,8 +212,8 @@ def _fit(params: ModelParams, n: int, batch_loss, val_aql, cfg: TrainConfig,
             raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
         history.append(EpochStats(epoch=epoch, train_aql=total / n, val_aql=val, lr=lr))
         if best_epoch < 0 or val < history[best_epoch].val_aql:
-            best_epoch, best_arrays = epoch, params.state_arrays()
-    params.load_arrays(best_arrays)
+            best_epoch, best_data = epoch, params.data.copy()
+    params.data[...] = best_data
     return TrainResult(params=params, best_epoch=best_epoch, history=history)
 
 

@@ -462,6 +462,45 @@ class TestCheckpointMarket:
         assert len(errors) == 1 and "unreadable checkpoint" in errors[0] and key in errors[0]
 
 
+def _set_first(entry, value):
+    entry["data"][0] = value
+
+
+class TestCheckpointContents:
+    """Checkpoints whose weights or scalers no training run writes: each
+    was once scored, some to NaN forecasts and a metrics.json with NaN."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, workspace):
+        out = workspace / "contents_model"
+        assert dispatch(["train", "--config", str(workspace / "run.cfg"),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(out)]) == 0
+        return json.loads((out / "checkpoint.json").read_text())
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    @pytest.mark.parametrize("edit", [
+        lambda c: _set_first(c["params"]["proj.buy.w"], float("nan")),
+        lambda c: _set_first(c["params"]["head.q50.b"], float("inf")),
+        lambda c: c["feature_scaler"]["iqrs"].__setitem__(0, 0.0),
+        lambda c: c["params"].pop("proj.sell.b"),
+        lambda c: c["params"].update({"proj.sell.c": {"shape": [1, 1], "data": [0.0]}}),
+        lambda c: c["params"]["proj.buy.w"].update(shape=c["params"]["proj.buy.w"]["shape"][::-1]),
+    ], ids=["nan_weight", "inf_weight", "zero_iqr", "missing_weight", "extra_weight",
+            "transposed_weight"])
+    def test_is_unreadable(self, workspace, payload, tmp_path, caplog, command, edit):
+        edited = json.loads(json.dumps(payload))
+        edit(edited)
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(edited))
+        assert dispatch([command, "--checkpoint", str(checkpoint),
+                         "--data", str(workspace / "data" / "trades.csv"),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and "unreadable checkpoint" in errors[0], errors
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
         assert dispatch(["train", "--nope"]) == 1
@@ -583,6 +622,21 @@ class TestExitCodes:
         cited = [key] + (["t_max"] if key in ("cutoff_exponent", "grid_cutoff_exponent") else [])
         assert len(errors) == 1 and key in errors[0], errors
         assert errors[0].startswith(f"data error: {config_lines(cfg, cited)}: "), errors
+
+    @pytest.mark.parametrize("keys", [{"volume_lognorm_mu": "-744"},
+                                      {"volume_lognorm_mu": "-744", "volume_lognorm_sigma": "0.8"}],
+                             ids=["mu", "mu_and_sigma"])
+    def test_volume_rounded_to_zero_is_data_error(self, tmp_path, caplog, keys):
+        # once exit 0 with zero volumes in trades.csv, which ingest then rejects
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(with_keys(SYNTH_CONFIG, **keys))
+        assert dispatch(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "trades.csv").exists()
+        assert not (tmp_path / "o" / "manifest.json").exists()
+        errors = [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1, errors
+        assert errors[0].startswith(f"data error: {config_lines(cfg, keys)}: "), errors
+        assert "rounds to 0" in errors[0], errors
 
     @pytest.mark.parametrize("command, minutes", [("ingest", 45), ("train", 45), ("baseline", 70)],
                              ids=["ingest", "train", "baseline_vwap15"])

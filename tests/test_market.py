@@ -669,6 +669,16 @@ class TestScaling:
         scaler = RobustScaler.fit(data)
         np.testing.assert_allclose(scaler.inverse(scaler.transform(data)), data, atol=1e-10)
 
+    @pytest.mark.parametrize("medians, iqrs", [
+        ([float("nan"), 0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0, float("inf")]),
+        ([0.0, 0.0], [1.0, 0.0]), ([0.0, 0.0], [-2.0, 1.0]),
+    ], ids=["nan_median", "inf_iqr", "zero_iqr", "negative_iqr"])
+    def test_from_dict_rejects_what_fit_never_writes(self, medians, iqrs):
+        scaler = RobustScaler.fit(np.array([[1.0, 5.0], [2.0, 5.0], [4.0, 5.0]]))   # IQRs 1.5, 1
+        assert RobustScaler.from_dict(scaler.to_dict()).to_dict() == scaler.to_dict()
+        with pytest.raises(ValueError, match="must be finite"):
+            RobustScaler.from_dict({"medians": medians, "iqrs": iqrs, "n_fit": 3})
+
     def test_value_at_median_maps_to_zero(self):
         data = np.array([[1.0], [5.0], [9.0]])
         scaler = RobustScaler.fit(data)

@@ -16,6 +16,7 @@ from orderfusion.market import MarketConfig, Sample
 from orderfusion.model import (
     COMPUTE_DTYPE,
     ModelConfig,
+    ModelParams,
     aggregate_and_pool,
     cross_attention_fuse,
     encode_samples,
@@ -812,6 +813,42 @@ class TestParamCount:
         assert init_params(small_config(**kw)).n_scalars() == expected
 
 
+class TestModelParams:
+    AT2 = MarketConfig(index_x=2, delta_c_minutes=0)
+
+    def _sets(self, tmp_path):
+        """A set from each way one is built, by name."""
+        config = small_config(hidden_dim=4, interaction_degree=2, seed=3)
+        built = init_params(config)
+        path = tmp_path / "c.json"
+        feat = RobustScaler(np.array([0.0]), np.array([1.0]), 1)
+        save_checkpoint(path, config, built, feat, feat, self.AT2, 1)
+        return {"constructor": built, "astype": built.astype(np.float32),
+                "astype_same": built.astype(np.float64), "load_checkpoint": load_checkpoint(path)[1]}
+
+    def test_values_and_gradients_are_views_of_the_buffers(self, tmp_path):
+        for how, params in self._sets(tmp_path).items():
+            ramp = np.arange(params.data.size, dtype=params.data.dtype)
+            params.data[...] = ramp
+            params.grad[...] = ramp + 1
+            spans = params.views(ramp)
+            for p in params:
+                assert np.shares_memory(p.value.data, params.data), (how, p.name)
+                assert np.shares_memory(p.grad, params.grad), (how, p.name)
+                assert p.value.data.tobytes() == spans[p.name].tobytes(), (how, p.name)
+                assert p.grad.tobytes() == (spans[p.name] + 1).tobytes(), (how, p.name)
+            params.zero_grad()
+            assert all(not p.grad.any() for p in params), how
+
+    def test_constructor_copies_in_order_with_the_engine_dtype(self):
+        w, b = np.ones((2, 3), np.float32), np.zeros((1, 3), np.float32)
+        params = ModelParams({"w": w, "b": b})
+        assert params.names == ["w", "b"] and params.data.dtype == np.float32
+        assert not np.shares_memory(params["w"].value.data, w)
+        assert ModelParams({"w": w, "b": b.astype(np.float64)}).data.dtype == np.float64
+        assert ModelParams({"s": 2.0, "row": [1, 2]})["row"].value.shape == (1, 2)
+
+
 class TestCheckpoint:
     AT2 = MarketConfig(index_x=2, delta_c_minutes=0)
 
@@ -883,3 +920,21 @@ class TestCheckpoint:
         save_checkpoint(p1, config, init_params(config), feat, feat, self.AT2, 1)
         save_checkpoint(p2, config, init_params(config), feat, feat, self.AT2, 1)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda w: w.pop("proj.buy.b"), "proj.buy.b"),
+        (lambda w: w.update({"proj.buy.c": {"shape": [1, 1], "data": [0.0]}}), "proj.buy.c"),
+        (lambda w: w["proj.buy.w"].update(shape=[4, 3]), r"\(4, 3\)"),
+        (lambda w: w["proj.buy.w"]["data"].__setitem__(0, float("nan")), "non-finite"),
+        (lambda w: w["head.q50.b"]["data"].__setitem__(0, float("-inf")), "non-finite"),
+    ], ids=["missing", "extra", "transposed", "nan", "inf"])
+    def test_rejects_weights_off_the_config(self, tmp_path, edit, message):
+        config = small_config(hidden_dim=4)
+        feat = RobustScaler(np.array([0.0]), np.array([1.0]), 1)
+        path = tmp_path / "model.json"
+        save_checkpoint(path, config, init_params(config), feat, feat, self.AT2, 1)
+        payload = json.loads(path.read_text())
+        edit(payload["params"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(path)

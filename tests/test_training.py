@@ -134,9 +134,7 @@ class TestAdam:
     def _scalar_param(self, value):
         from orderfusion.model import ModelParams
 
-        params = ModelParams()
-        params.add("w", [[value]])
-        return params
+        return ModelParams({"w": [[value]]})
 
     def test_first_step_magnitude_and_sign(self):
         cfg = TrainConfig()
@@ -161,12 +159,12 @@ class TestAdam:
         params["w"].value.grad[...] = 4.0
         state = OptimizerState.for_params(params)
         adam_step(params, state, lr=1e-3, cfg=cfg)
-        m_before = state.first_moment["w"].copy()
-        v_before = state.second_moment["w"].copy()
+        m_before = params.views(state.first)["w"].copy()
+        v_before = params.views(state.second)["w"].copy()
         params.zero_grad()
         adam_step(params, state, lr=1e-3, cfg=cfg)
-        assert abs(state.first_moment["w"][0, 0]) < abs(m_before[0, 0])
-        assert state.second_moment["w"][0, 0] < v_before[0, 0]
+        assert abs(params.views(state.first)["w"][0, 0]) < abs(m_before[0, 0])
+        assert params.views(state.second)["w"][0, 0] < v_before[0, 0]
 
     def test_quadratic_descent(self):
         cfg = TrainConfig()
@@ -211,8 +209,8 @@ class TestAdam:
             for p in params:
                 assert p.value.data.dtype == dtype
                 assert p.value.data.tobytes() == weights[p.name].tobytes(), (t, p.name)
-                assert state.first_moment[p.name].tobytes() == first[p.name].tobytes()
-                assert state.second_moment[p.name].tobytes() == second[p.name].tobytes()
+                assert params.views(state.first)[p.name].tobytes() == first[p.name].tobytes()
+                assert params.views(state.second)[p.name].tobytes() == second[p.name].tobytes()
 
 
 class TestLrSchedule:
